@@ -58,10 +58,12 @@ from .verify import (
     SynthesizedRecovery,
     TrialResult,
     VerificationReport,
+    certify,
     check_erasure_kl,
     check_hiding,
     check_kl_general,
     run_recovery_trial,
+    sector_overlaps,
     synthesize_recovery,
 )
 
@@ -89,6 +91,7 @@ __all__ = [
     "apply_circuit",
     "apply_erasure",
     "apply_local_operator",
+    "certify",
     "check_erasure_kl",
     "check_hiding",
     "check_kl_general",
@@ -107,6 +110,7 @@ __all__ = [
     "recovery_for",
     "relabel_sites",
     "run_recovery_trial",
+    "sector_overlaps",
     "six_qubit_encoder",
     "six_qubit_logical_basis",
     "standard_gate",

@@ -24,11 +24,10 @@ import numpy as np
 from . import codes as codes_mod
 from . import noise, verify
 from .gates import apply_circuit, invert_circuit
-from .states import MessageState, PureState, SiteDims, fidelity_with_pure, partial_trace
+from .states import (DEFAULT_DIMENSION_CAP, MessageState, PureState, SiteDims,
+                     fidelity_with_pure, partial_trace)
+from .verify import DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS
 
-DEFAULT_SEED = 42
-DEFAULT_TRIALS = 25
-DEFAULT_TOLERANCE = 1e-10
 SEED_ENV_VAR = "ERASURELAB_SEED"
 
 
@@ -46,6 +45,13 @@ class ChannelSpec:
     leak_dim: int = 3
     leak_weight: float | None = None
 
+    def damaged_dim(self, n_sites: int) -> int:
+        """Total dimension of an n-qubit register once this channel hits one site."""
+        if self.kind == "pauli":
+            return 2**n_sites
+        out_dim = self.leak_dim if self.kind == "leak" else 2
+        return 2 ** (n_sites - 1) * out_dim * self.env_dim
+
     def build(self, seed: int) -> noise.DecoherenceIsometry:
         if self.kind == "pauli":
             return noise.pauli_error(self.pauli_kind)
@@ -59,7 +65,7 @@ class RunConfig:
     command: str
     code: str
     seed: int
-    trials: int
+    trials: int | None
     tolerance: float
     bad_position: int | None = None
     channel: ChannelSpec | None = None
@@ -150,13 +156,20 @@ def code_from_json_dict(data: dict, label: str = "external") -> codes_mod.CodeSp
         raise ConfigError(f"dims list has {len(dims)} entries for n_sites={n_sites}")
     if any(d != 2 for d in dims):
         raise ConfigError("only all-qubit external codes are supported")
+    try:
+        register = SiteDims(dims)
+        pairs = np.array(raw_basis, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed code file: {exc}") from exc
+    if pairs.ndim != 3 or pairs.shape[1:] != (register.total, 2):
+        raise ConfigError(
+            f"logical basis has shape {pairs.shape}; expected one row of "
+            f"{register.total} [re, im] pairs per logical state"
+        )
     states = []
-    for row in raw_basis:
-        if len(row) != 2**n_sites:
-            raise ConfigError(f"logical state has {len(row)} amplitudes, expected {2**n_sites}")
-        amps = np.array([complex(re, im) for re, im in row])
+    for amps in pairs.view(np.complex128)[..., 0]:  # each [re, im] pair read as one complex
         try:
-            states.append(PureState(SiteDims.qubits(n_sites), amps))
+            states.append(PureState(register, amps))
         except ValueError as exc:
             raise ConfigError(f"bad logical state in code file: {exc}") from exc
     if len(states) < 2:
@@ -224,29 +237,18 @@ def _meta(config: RunConfig) -> dict:
     }
 
 
-def _check_rows(reports) -> list[dict]:
-    rows = []
-    for report in reports:
-        for c in report.checks:
-            rows.append(
-                {"name": c.name, "pass": bool(c.passed), "worst_deviation": float(c.worst_deviation)}
-            )
-    return rows
+def _exit_code(report: dict) -> int:
+    return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, dict]:
-    code = build_code(config)
-    reports = []
-    for p in range(code.n_physical):
-        reports.append(
-            verify.check_kl_general(code, verify.ErrorOperatorSet.pauli_set(p), config.tolerance)
-        )
-    for p in range(code.n_physical):
-        reports.append(verify.check_erasure_kl(code, p, config.tolerance))
-    reports.append(verify.check_hiding(code, config.trials, config.seed, config.tolerance))
-    rows = _check_rows(reports)
+    result = verify.certify(build_code(config), config.tolerance)
+    rows = [
+        {"name": c.name, "pass": bool(c.passed), "worst_deviation": float(c.worst_deviation)}
+        for c in result.checks
+    ]
     report = {"meta": _meta(config), "checks": rows, "trials": []}
-    return (0 if all(r["pass"] for r in rows) else 1), report
+    return _exit_code(report), report
 
 
 def cmd_recover(config: RunConfig) -> tuple[int, dict]:
@@ -256,6 +258,11 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
     if not 0 <= config.bad_position < code.n_physical:
         raise ConfigError(
             f"position {config.bad_position} out of range for {code.n_physical} sites"
+        )
+    dim = config.channel.damaged_dim(code.n_physical)
+    if dim > DEFAULT_DIMENSION_CAP:
+        raise ConfigError(
+            f"damaged register dimension {dim} exceeds the cap {DEFAULT_DIMENSION_CAP}"
         )
     if config.code == "six" and config.code_file is None:
         plan = codes_mod.recovery_for(config.bad_position)
@@ -311,7 +318,7 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
         },
     ]
     report = {"meta": _meta(config), "checks": checks, "trials": trial_rows}
-    return (0 if checks[0]["pass"] else 1), report
+    return _exit_code(report), report
 
 
 def cmd_share_demo(config: RunConfig) -> tuple[int, dict]:
@@ -353,7 +360,7 @@ def cmd_share_demo(config: RunConfig) -> tuple[int, dict]:
         "checks": checks,
         "trials": [{"index": 0, "fidelity": fid, "purity": purity}],
     }
-    return (0 if all(c["pass"] for c in checks) else 1), report
+    return _exit_code(report), report
 
 
 def _default_seed() -> int:
@@ -373,19 +380,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_code_file: bool = False) -> None:
-        group = p.add_mutually_exclusive_group() if with_code_file else None
+    def add_common(p: argparse.ArgumentParser, certify: bool = False) -> None:
+        group = p.add_mutually_exclusive_group() if certify else None
         (group or p).add_argument("--code", default="six", help="six | w5 | hiding:n")
         if group is not None:
             group.add_argument("--code-file", default=None, help="JSON code description")
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default {DEFAULT_SEED}, or ${SEED_ENV_VAR})")
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+        if not certify:  # verify's certificates are exact; only trial runs take a count
+            p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run the certification checks on a code")
-    add_common(p_verify, with_code_file=True)
+    add_common(p_verify, certify=True)
 
     p_recover = sub.add_parser("recover", help="seeded damage/repair trials at one position")
     add_common(p_recover)
@@ -401,12 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     seed = args.seed if args.seed is not None else _default_seed()
-    trials = int(args.trials)
-    if trials < 1:
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
         raise ConfigError("trial count must be positive")
     tolerance = float(args.tolerance)
-    if not tolerance > 0:
-        raise ConfigError("tolerance must be positive")
+    if not 0 < tolerance < 1:
+        raise ConfigError(f"tolerance must lie in (0, 1), got {tolerance!r}")
     return RunConfig(
         command=args.command,
         code=args.code,
@@ -441,8 +449,12 @@ def main(argv=None) -> int:
         return 2
     text = render_json(report)
     if config.out is not None:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report to {config.out!r}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return exit_code

@@ -122,7 +122,7 @@ class CodeSpec:
         basis = np.stack([ls.amps for ls in logical_basis])
         gram = basis.conj() @ basis.T
         dev = float(np.max(np.abs(gram - np.eye(len(logical_basis)))))
-        if dev > GRAM_TOL:
+        if not dev <= GRAM_TOL:
             raise ValueError(f"logical basis is not orthonormal (deviation {dev:.3e})")
         self.label = str(label)
         self.n_physical = n_physical

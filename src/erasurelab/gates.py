@@ -56,7 +56,7 @@ class Gate:
             raise ValueError(f"gate matrix must be square, got shape {matrix.shape}")
         side = matrix.shape[0]
         dev = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(side))))
-        if dev > GATE_UNITARITY_TOL:
+        if not dev <= GATE_UNITARITY_TOL:
             raise ValueError(f"gate matrix is not unitary (deviation {dev:.3e})")
         if arity is None:
             log = side.bit_length() - 1

@@ -40,7 +40,7 @@ class DecoherenceIsometry:
                 f"({qubit_out_dim * env_dim}, 2)"
             )
         dev = float(np.max(np.abs(columns.conj().T @ columns - np.eye(2))))
-        if dev > ISOMETRY_TOL:
+        if not dev <= ISOMETRY_TOL:
             raise ValueError(f"columns are not an isometry (deviation {dev:.3e})")
         self.env_dim = env_dim
         self.qubit_out_dim = qubit_out_dim

@@ -113,7 +113,7 @@ class PureState:
                 f"amplitude vector has length {amps.size}, register needs {self.dims.total}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
         self.amps = _frozen(amps)
 
@@ -171,12 +171,12 @@ class DensityMatrix:
         d = self.dims.total
         if matrix.shape != (d, d):
             raise ValueError(f"matrix shape {matrix.shape} does not match register dimension {d}")
-        if np.max(np.abs(matrix - matrix.conj().T)) > HERMITICITY_TOL:
+        if not np.max(np.abs(matrix - matrix.conj().T)) <= HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = complex(np.trace(matrix))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
-        if float(np.min(np.linalg.eigvalsh(matrix))) < EIGENVALUE_FLOOR:
+        if not float(np.min(np.linalg.eigvalsh(matrix))) >= EIGENVALUE_FLOOR:
             raise ValueError("matrix has an eigenvalue below the PSD floor")
         self.matrix = _frozen(matrix)
 
@@ -206,7 +206,7 @@ class MessageState:
         if amps.size != 2**n:
             raise ValueError(f"amplitude vector has length {amps.size}, expected {2**n}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"message norm {norm!r} differs from 1 by more than {NORM_TOL}")
         self.n = n
         self.amps = _frozen(amps)
@@ -264,7 +264,7 @@ def apply_local_operator(
         raise ValueError(f"operator shape {op.shape} does not match target dimension {side}")
     if check_unitary:
         dev = float(np.max(np.abs(op.conj().T @ op - np.eye(side))))
-        if dev > unitarity_tol:
+        if not dev <= unitarity_tol:
             raise ValueError(
                 f"operator is not unitary (deviation {dev:.3e}); "
                 "pass check_unitary=False to apply it anyway"

@@ -2,13 +2,15 @@
 
 Three families of checks live here:
 
-* algebraic error-correction conditions on a logical basis (the pairwise
-  form for a general operator set, and the single-operator form for an
-  erasure at a known position),
-* numerical synthesis of a recovery unitary straight from the logical
-  basis, which refuses whenever the code cannot correct the erasure,
-* statistical checks: maximally mixed single-site marginals, and seeded
-  encode / damage / repair trials measured by fidelity and purity.
+* exact per-site certificates, all contractions of one sector-overlap
+  tensor (``sector_overlaps``): the pairwise error-correction conditions
+  for a general operator set, the single-operator form for an erasure at a
+  known position, and maximally mixed single-site marginals (``certify``
+  runs all three at every site),
+* numerical synthesis of a recovery unitary from the same tensor, which
+  refuses whenever the code cannot correct the erasure,
+* seeded checks through the encoder: sampled marginals of random messages,
+  and encode / damage / repair trials measured by fidelity and purity.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import CodeSpec
+from .gates import PAULI_BY_KIND
 from .noise import ErasureEvent, apply_erasure
 from .states import (
     MessageState,
@@ -32,6 +35,8 @@ DEFAULT_TRIALS = 25
 DEFAULT_SEED = 42
 RANK_CUTOFF = 1e-12
 SYNTHESIS_DIM_CAP = 1024
+PAULIS = np.stack([PAULI_BY_KIND[k] for k in "IXYZ"])
+PAULIS.setflags(write=False)
 
 
 class RecoverySynthesisError(ValueError):
@@ -68,94 +73,98 @@ class TrialResult:
 
 
 class ErrorOperatorSet:
-    """Single-site error operators at one known position.
+    """Single-qubit error operators at one known position.
 
-    The set must contain the identity and span the full one-site operator
-    algebra restricted to the qubit Pauli directions, so that passing the
-    pairwise conditions on it certifies arbitrary errors at that site.
+    The set must contain the identity and span the full one-qubit operator
+    algebra (the Pauli directions), so that passing the pairwise conditions
+    on it certifies arbitrary errors at that site.
     """
 
     __slots__ = ("position", "operators")
 
     def __init__(self, position: int, operators):
-        from .gates import PAULI_BY_KIND
-
         position = int(position)
         if position < 0:
             raise ValueError("position must be nonnegative")
         operators = tuple(np.array(a, dtype=np.complex128) for a in operators)
         if not operators:
             raise ValueError("operator set must be nonempty")
-        shape = operators[0].shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError("operators must be square matrices")
-        if any(a.shape != shape for a in operators):
-            raise ValueError("operators must all have the same shape")
-        d = shape[0]
-        if not any(np.max(np.abs(a - np.eye(d))) <= 1e-12 for a in operators):
+        if any(a.shape != (2, 2) for a in operators):
+            raise ValueError("logical bases live on qubit sites; operators must be 2x2")
+        if not any(np.max(np.abs(a - np.eye(2))) <= 1e-12 for a in operators):
             raise ValueError("operator set must include the identity")
         stacked = np.stack([a.reshape(-1) for a in operators], axis=1)
-        if d == 2:
-            span_targets = PAULI_BY_KIND.values()
-        else:
-            span_targets = (np.eye(d)[:, [a]] @ np.eye(d)[[b], :] for a in range(d) for b in range(d))
-        for target in span_targets:
-            vec = np.asarray(target, dtype=np.complex128).reshape(-1)
+        for target in PAULI_BY_KIND.values():
+            vec = target.reshape(-1)
             coeff, *_ = np.linalg.lstsq(stacked, vec, rcond=None)
-            if np.linalg.norm(stacked @ coeff - vec) > 1e-10:
+            if not np.linalg.norm(stacked @ coeff - vec) <= 1e-10:
                 raise ValueError("operator set does not span the one-site algebra")
         for a in operators:
             a.setflags(write=False)
         self.position = position
         self.operators = operators
 
-    @property
-    def site_dim(self) -> int:
-        return self.operators[0].shape[0]
-
     @classmethod
     def pauli_set(cls, position: int) -> "ErrorOperatorSet":
-        from .gates import PAULI_BY_KIND
-
-        return cls(position, [PAULI_BY_KIND[k] for k in "IXYZ"])
-
-    @classmethod
-    def matrix_unit_set(cls, position: int, dim: int) -> "ErrorOperatorSet":
-        """Identity plus all dim^2 matrix units, for sites beyond qubits."""
-        eye = np.eye(dim)
-        units = [np.outer(eye[:, a], eye[b, :]) for a in range(dim) for b in range(dim)]
-        return cls(position, [eye] + units)
+        return cls(position, PAULIS)
 
 
-def _apply_site_matrix(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.tensordot(op, np.moveaxis(tensor, axis, 0), axes=([1], [0]))
-    return np.moveaxis(moved, 0, axis)
+def _sectors(code: CodeSpec, position: int) -> np.ndarray:
+    """Rows w_ia of the split |i> = sum_a |a>_position (x) |w_ia>, in (i, a)
+    order: shape (2L, D/2) for L logical states on D amplitudes."""
+    n = code.n_physical
+    if not 0 <= position < n:
+        raise ValueError(f"position {position} out of range for {n} sites")
+    basis = np.stack([ls.amps for ls in code.logical_basis]).reshape((-1,) + (2,) * n)
+    return np.moveaxis(basis, position + 1, 1).reshape(2 * len(code.logical_basis), -1)
 
 
-def _transformed_basis(code: CodeSpec, errors: ErrorOperatorSet) -> list[np.ndarray]:
-    """Rows (A_a applied to each logical state), one (L, D) array per operator."""
-    if errors.position >= code.n_physical:
-        raise ValueError(
-            f"error position {errors.position} out of range for {code.n_physical} sites"
-        )
-    if errors.site_dim != 2:
-        raise ValueError("logical bases live on qubit sites; operators must be 2x2")
-    out = []
-    for a in errors.operators:
-        rows = [
-            _apply_site_matrix(ls.tensor, a, errors.position).reshape(-1)
-            for ls in code.logical_basis
-        ]
-        out.append(np.stack(rows))
-    return out
+def sector_overlaps(code: CodeSpec, position: int) -> np.ndarray:
+    """O[i, a, j, b] = <w_ia|w_jb> for the split of every logical state at
+    ``position``.
+
+    Every per-site certificate is a contraction of this tensor: for an
+    operator M on the site, <i|M|j> = sum_ab M[a, b] O[i, a, j, b].  The
+    erasure is correctable iff O = delta_ij g (Knill-Laflamme), and the site
+    shows nothing about any message iff, in addition, g = I/2.
+    """
+    sectors = _sectors(code, position)
+    n_logical = len(code.logical_basis)
+    return (sectors.conj() @ sectors.T).reshape(n_logical, 2, n_logical, 2)
 
 
 def _delta_deviation(m: np.ndarray) -> float:
-    """Distance of a matrix from (constant * identity)."""
-    diag = np.diagonal(m)
-    off = np.max(np.abs(m - np.diag(diag))) if m.shape[0] > 1 else 0.0
-    spread = np.max(np.abs(diag[:, None] - diag[None, :]))
-    return float(max(off, spread))
+    """Largest distance of a stack of matrices from (constant * identity).
+    NaN anywhere gives NaN, which fails every tolerance."""
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    off = m * (1 - np.eye(m.shape[-1]))
+    spread = diag[..., :, None] - diag[..., None, :]
+    return float(np.maximum(np.max(np.abs(off)), np.max(np.abs(spread))))
+
+
+def _block_deviation(overlaps: np.ndarray, g: np.ndarray) -> float:
+    """max |O[i, :, j, :] - delta_ij g|.  NaN anywhere gives NaN."""
+    blocks = np.einsum("ij,ab->iajb", np.eye(overlaps.shape[0]), g)
+    return float(np.max(np.abs(overlaps - blocks)))
+
+
+def _kl_row(name: str, overlaps: np.ndarray, ops: np.ndarray, tolerance: float) -> CheckResult:
+    """<i|M|j> must be delta_ij times a constant, for every M in ``ops``."""
+    worst = _delta_deviation(np.tensordot(ops, overlaps, axes=([1, 2], [1, 3])))
+    details = f"{len(ops)} operators over {overlaps.shape[0]} logical states"
+    return CheckResult(name, worst <= tolerance, worst, details)
+
+
+def _hiding_row(site: int, overlaps: np.ndarray, tolerance: float) -> CheckResult:
+    # Tr_rest |j><i| at the site is O[i, :, j, :] transposed, so every
+    # encoded message has marginal I/2 iff O = delta_ij I/2
+    worst = _block_deviation(overlaps, np.eye(2) / 2)
+    return CheckResult(f"hiding_site{site}", worst <= tolerance, worst,
+                       "exact deviation of the sector overlaps from delta_ij I/2")
+
+
+def _pair_products(operators) -> np.ndarray:
+    return np.stack([a.conj().T @ b for a in operators for b in operators])
 
 
 def check_kl_general(
@@ -165,17 +174,9 @@ def check_kl_general(
 ) -> VerificationReport:
     """Pairwise conditions: <i|A_a^dag A_b|j> must be delta_ij times a
     constant that does not depend on the logical index, for every pair."""
-    transformed = _transformed_basis(code, errors)
-    worst = 0.0
-    for ta in transformed:
-        for tb in transformed:
-            worst = max(worst, _delta_deviation(ta.conj() @ tb.T))
-    check = CheckResult(
-        name=f"kl_general_pos{errors.position}",
-        passed=worst <= tolerance,
-        worst_deviation=worst,
-        details=f"{len(transformed)**2} operator pairs over {len(code.logical_basis)} logical states",
-    )
+    overlaps = sector_overlaps(code, errors.position)
+    products = _pair_products(errors.operators)
+    check = _kl_row(f"kl_general_pos{errors.position}", overlaps, products, tolerance)
     return VerificationReport(checks=(check,), tolerance=tolerance)
 
 
@@ -186,18 +187,23 @@ def check_erasure_kl(
 ) -> VerificationReport:
     """Single-operator conditions for a known erased site: every Pauli must
     have equal diagonal matrix elements and no off-diagonal ones."""
-    errors = ErrorOperatorSet.pauli_set(position)
-    basis = np.stack([ls.amps for ls in code.logical_basis])
-    worst = 0.0
-    for ta in _transformed_basis(code, errors):
-        worst = max(worst, _delta_deviation(basis.conj() @ ta.T))
-    check = CheckResult(
-        name=f"erasure_kl_pos{position}",
-        passed=worst <= tolerance,
-        worst_deviation=worst,
-        details=f"4 Pauli operators over {len(code.logical_basis)} logical states",
-    )
+    check = _kl_row(f"erasure_kl_pos{position}", sector_overlaps(code, position), PAULIS, tolerance)
     return VerificationReport(checks=(check,), tolerance=tolerance)
+
+
+def certify(code: CodeSpec, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
+    """Every certificate at every site from one sector-overlap tensor per
+    site: the pairwise Pauli conditions (``kl_general_pos*``), the erasure
+    conditions (``erasure_kl_pos*``) and exact marginal hiding
+    (``hiding_site*``), in that order."""
+    products = _pair_products(PAULIS)
+    kl, erasure, hiding = [], [], []
+    for p in range(code.n_physical):
+        overlaps = sector_overlaps(code, p)
+        kl.append(_kl_row(f"kl_general_pos{p}", overlaps, products, tolerance))
+        erasure.append(_kl_row(f"erasure_kl_pos{p}", overlaps, PAULIS, tolerance))
+        hiding.append(_hiding_row(p, overlaps, tolerance))
+    return VerificationReport(checks=tuple(kl + erasure + hiding), tolerance=tolerance)
 
 
 @dataclass(frozen=True)
@@ -213,26 +219,15 @@ class SynthesizedRecovery:
     worst_gram_deviation: float = 0.0
 
     def apply(self, state: PureState) -> PureState:
-        return apply_local_operator(state, self.unitary, self.rest_sites)
+        # synthesize_recovery checked unitarity once and froze the matrix
+        return apply_local_operator(state, self.unitary, self.rest_sites, check_unitary=False)
 
 
 def _complete_orthonormal_basis(cols: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full square unitary."""
-    d, q = cols.shape
-    basis = cols
-    for j in range(d):
-        if basis.shape[1] == d:
-            break
-        v = np.zeros(d, dtype=np.complex128)
-        v[j] = 1.0
-        for _ in range(2):  # two projection passes keep orthogonality tight
-            v = v - basis @ (basis.conj().T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis = np.concatenate([basis, (v / norm)[:, None]], axis=1)
-    if basis.shape[1] != d:
-        raise RuntimeError("failed to complete the orthonormal basis")
-    return basis
+    """Extend orthonormal columns to a full square unitary: the trailing
+    left singular vectors span the orthogonal complement of the columns."""
+    u, _, _ = np.linalg.svd(cols, full_matrices=True)
+    return np.concatenate([cols, u[:, cols.shape[1]:]], axis=1)
 
 
 def synthesize_recovery(
@@ -250,10 +245,7 @@ def synthesize_recovery(
     orthonormalized sectors onto junk-register states tensor the message
     basis.  Raises RecoverySynthesisError when the overlap structure fails.
     """
-    n = code.n_physical
-    if not 0 <= position < n:
-        raise ValueError(f"position {position} out of range for {n} sites")
-    rest = tuple(s for s in range(n) if s != position)
+    rest = tuple(s for s in range(code.n_physical) if s != position)
     rest_dim = 2 ** len(rest)
     if rest_dim > max_dim:
         raise ValueError(
@@ -262,22 +254,12 @@ def synthesize_recovery(
     n_logical = len(code.logical_basis)
     k = code.k_logical
 
-    sectors = np.empty((n_logical, 2, rest_dim), dtype=np.complex128)
-    for j, ls in enumerate(code.logical_basis):
-        sectors[j] = np.moveaxis(ls.tensor, position, 0).reshape(2, rest_dim)
-
-    overlaps = np.einsum("iad,jbd->iajb", sectors.conj(), sectors)
-    cross = overlaps.copy()
-    per_state = np.empty((n_logical, 2, 2), dtype=np.complex128)
-    for j in range(n_logical):
-        per_state[j] = overlaps[j, :, j, :]
-        cross[j, :, j, :] = 0.0
-    gram = per_state.mean(axis=0)
-    worst = max(
-        float(np.max(np.abs(cross))),
-        float(np.max(np.abs(per_state - gram))),
-    )
-    if worst > tolerance:
+    sectors = _sectors(code, position).reshape(n_logical, 2, rest_dim)
+    overlaps = sector_overlaps(code, position)
+    diagonal = np.arange(n_logical)
+    gram = overlaps[diagonal, :, diagonal, :].mean(axis=0)
+    worst = _block_deviation(overlaps, gram)
+    if not worst <= tolerance:
         raise RecoverySynthesisError(
             f"logical sectors at site {position} do not have the overlap structure "
             f"an erasure decoder needs (worst deviation {worst:.3e})",
@@ -323,7 +305,7 @@ def synthesize_recovery(
             target_idx.append(basis_index(code.message_labels[j], m))
     source = np.stack(source_cols, axis=1)
     ortho_dev = float(np.max(np.abs(source.conj().T @ source - np.eye(source.shape[1]))))
-    if ortho_dev > 1e-8:
+    if not ortho_dev <= 1e-8:
         raise RecoverySynthesisError(
             f"orthonormalized sectors drifted (deviation {ortho_dev:.3e})", ortho_dev
         )
@@ -336,8 +318,9 @@ def synthesize_recovery(
         full_target[idx, col] = 1.0
     unitary = full_target @ full_source.conj().T
     unitary_dev = float(np.max(np.abs(unitary.conj().T @ unitary - np.eye(rest_dim))))
-    if unitary_dev > 1e-10:
+    if not unitary_dev <= 1e-10:
         raise RuntimeError(f"synthesized map is not unitary (deviation {unitary_dev:.3e})")
+    unitary.setflags(write=False)
 
     return SynthesizedRecovery(
         position=position,
@@ -366,7 +349,7 @@ def check_hiding(
         state = code.encode(code.random_message(rng))
         for s in range(n):
             rho = partial_trace(state, (s,))
-            worst[s] = max(worst[s], float(np.max(np.abs(rho.matrix - half))))
+            worst[s] = np.maximum(worst[s], np.max(np.abs(rho.matrix - half)))
     checks = tuple(
         CheckResult(
             name=f"hiding_site{s}",

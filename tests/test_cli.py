@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from erasurelab import cli
+from erasurelab import cli, noise, verify
 from erasurelab.cli import (
     ConfigError,
     code_from_json_dict,
@@ -15,6 +15,7 @@ from erasurelab.cli import (
     render_json,
 )
 from erasurelab.codes import six_qubit_logical_basis, w_code
+from test_verify import leaky_hiding_code
 
 
 def run(capsys, *argv):
@@ -30,7 +31,7 @@ def run_json(capsys, *argv):
 
 class TestVerifyCommand:
     def test_six_qubit_code_passes(self, capsys):
-        code, report, _ = run_json(capsys, "verify", "--code", "six", "--trials", "5")
+        code, report, _ = run_json(capsys, "verify", "--code", "six")
         assert code == 0
         assert report["meta"]["code"] == "six"
         assert report["meta"]["seed"] == 42
@@ -43,7 +44,7 @@ class TestVerifyCommand:
         assert report["trials"] == []
 
     def test_w5_passes(self, capsys):
-        code, report, _ = run_json(capsys, "verify", "--code", "w5", "--trials", "3")
+        code, report, _ = run_json(capsys, "verify", "--code", "w5")
         assert code == 0
         assert len(report["checks"]) == 5 + 5 + 5
 
@@ -61,9 +62,7 @@ class TestVerifyCommand:
     def test_code_file_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "w5.json"
         path.write_text(json.dumps(code_to_json_dict(w_code())))
-        code, report, _ = run_json(
-            capsys, "verify", "--code-file", str(path), "--trials", "2"
-        )
+        code, report, _ = run_json(capsys, "verify", "--code-file", str(path))
         assert code == 0
         assert report["meta"]["code"] == f"file:{path}"
 
@@ -80,7 +79,7 @@ class TestVerifyCommand:
         }
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(doc))
-        code, report, _ = run_json(capsys, "verify", "--code-file", str(path), "--trials", "2")
+        code, report, _ = run_json(capsys, "verify", "--code-file", str(path))
         assert code == 1
         failing = [c["name"] for c in report["checks"] if not c["pass"]]
         assert "kl_general_pos1" in failing
@@ -92,6 +91,26 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--code-file", str(path))
         assert code == 2
         assert "cannot read code file" in err
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_non_finite_amplitude_is_a_bad_configuration(self, capsys, tmp_path, part):
+        doc = code_to_json_dict(six_qubit_logical_basis())
+        doc["logical_basis"][0][0][part] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--code-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sampling_cannot_hide_a_small_leak(self, capsys, tmp_path):
+        path = tmp_path / "leaky.json"
+        path.write_text(json.dumps(code_to_json_dict(leaky_hiding_code())))
+        code, report, _ = run_json(capsys, "verify", "--code-file", str(path))
+        assert code == 1
+        rows = {c["name"]: c for c in report["checks"]}
+        assert not rows["hiding_site0"]["pass"]
+        assert rows["hiding_site0"]["worst_deviation"] > 4e-10
 
     def test_code_and_code_file_are_exclusive(self, capsys):
         code, _, err = run(capsys, "verify", "--code", "six", "--code-file", "x.json")
@@ -138,6 +157,28 @@ class TestRecoverCommand:
         for channel in ("pauli:Q", "random:zero", "leak:2,4", "leak:3", "foo:1"):
             code, _, err = run(capsys, "recover", "--pos", "0", "--channel", channel)
             assert code == 2, channel
+
+    @pytest.mark.parametrize("channel", ["random:100000", "leak:3,100000", "leak:100000,4"])
+    def test_register_cap_is_checked_before_any_channel_is_built(
+        self, capsys, monkeypatch, channel
+    ):
+        def refuse(*args):
+            raise AssertionError("haar_unitary ran before the register cap was checked")
+
+        monkeypatch.setattr(noise, "haar_unitary", refuse)
+        code, out, err = run(capsys, "recover", "--pos", "0", "--channel", channel)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap" in err
+
+    def test_every_check_row_decides_the_exit_code(self, capsys, monkeypatch):
+        # a perfect fidelity with an entangled output register is still a failure
+        monkeypatch.setattr(
+            verify, "run_recovery_trial", lambda *args: verify.TrialResult(1.0, 0.5)
+        )
+        code, report, _ = run_json(capsys, "recover", "--pos", "0", "--trials", "2")
+        assert [c["pass"] for c in report["checks"]] == [True, False]
+        assert code == 1
 
     def test_under_capacity_leak_channel(self, capsys):
         code, _, err = run(
@@ -187,8 +228,8 @@ class TestShareDemoCommand:
 
 class TestDeterminismAndOutput:
     def test_verify_is_byte_identical(self, capsys):
-        _, first, _ = run(capsys, "verify", "--code", "six", "--trials", "5")
-        _, second, _ = run(capsys, "verify", "--code", "six", "--trials", "5")
+        _, first, _ = run(capsys, "verify", "--code", "six")
+        _, second, _ = run(capsys, "verify", "--code", "six")
         assert first == second
 
     def test_recover_is_byte_identical(self, capsys):
@@ -198,22 +239,29 @@ class TestDeterminismAndOutput:
         assert first == second
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
-        _, stdout_text, _ = run(capsys, "verify", "--code", "w5", "--trials", "2")
+        _, stdout_text, _ = run(capsys, "verify", "--code", "w5")
         path = tmp_path / "report.json"
         code, out, _ = run(
-            capsys, "verify", "--code", "w5", "--trials", "2", "--out", str(path)
+            capsys, "verify", "--code", "w5", "--out", str(path)
         )
         assert code == 0
         assert out == ""
         assert path.read_text() == stdout_text
 
+    def test_out_into_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "verify", "--code", "w5", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
-        _, report, _ = run_json(capsys, "verify", "--code", "w5", "--trials", "2")
+        _, report, _ = run_json(capsys, "verify", "--code", "w5")
         assert report["meta"]["seed"] == 7
         # an explicit flag wins over the environment
         _, report, _ = run_json(
-            capsys, "verify", "--code", "w5", "--trials", "2", "--seed", "3"
+            capsys, "verify", "--code", "w5", "--seed", "3"
         )
         assert report["meta"]["seed"] == 3
 
@@ -231,8 +279,22 @@ class TestDeterminismAndOutput:
 
 class TestConfigValidation:
     def test_trials_must_be_positive(self, capsys):
-        code, _, err = run(capsys, "verify", "--trials", "0")
+        code, _, err = run(capsys, "recover", "--pos", "0", "--trials", "0")
         assert code == 2
+
+    def test_verify_takes_no_trial_count(self, capsys):
+        # verify's certificates are exact, so there is nothing to sample
+        code, _, err = run(capsys, "verify", "--trials", "5")
+        assert code == 2
+        assert "--trials" in err
+
+    @pytest.mark.parametrize("value", ["1", "inf", "nan", "-1e-10"])
+    def test_tolerance_must_lie_below_one(self, capsys, value):
+        # at inf every deviation would pass, even for a random subspace
+        code, out, err = run(capsys, "verify", f"--tolerance={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_tolerance_must_be_positive(self, capsys):
         code, _, err = run(capsys, "verify", "--tolerance", "0")
@@ -303,6 +365,9 @@ class TestCodeFileFormat:
             lambda d: d.__setitem__("dims", [2, 2, 2, 2, 3]),
             lambda d: d["logical_basis"][0].pop(),
             lambda d: d.__setitem__("logical_basis", d["logical_basis"][:1]),
+            lambda d: d["logical_basis"][0][3].pop(),  # a lone [re] amplitude
+            lambda d: d.__setitem__("logical_basis", 5),
+            lambda d: d.__setitem__("n_sites", 0),
         ):
             doc = json.loads(json.dumps(good))
             mutation(doc)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from erasurelab import verify
 from erasurelab.codes import (
     CodeSpec,
     hiding_code,
@@ -16,16 +19,19 @@ from erasurelab.noise import (
     pauli_error,
     random_decoherence,
 )
+from erasurelab.gates import PAULI_BY_KIND, haar_unitary
 from erasurelab.states import MessageState, PureState, partial_trace
 from erasurelab.verify import (
     CheckResult,
     ErrorOperatorSet,
     RecoverySynthesisError,
     VerificationReport,
+    certify,
     check_erasure_kl,
     check_hiding,
     check_kl_general,
     run_recovery_trial,
+    sector_overlaps,
     synthesize_recovery,
 )
 
@@ -42,17 +48,101 @@ def bare_three_qubit_code():
     return CodeSpec("bare", 3, 3, basis, range(8))
 
 
+def product_code(k=3, n_ancilla=3):
+    """Message qubits followed by blank ancillas: |m> (x) |0...0>."""
+    n = k + n_ancilla
+    basis = [PureState.basis_state((2,) * n, m << n_ancilla) for m in range(2**k)]
+    return CodeSpec("product", n, k, basis, range(2**k))
+
+
+def leaky_hiding_code():
+    """hiding:5 with 5e-10 of Z on site 0 mixed into the logical |0>.
+
+    Z_0|0_L> is orthogonal to every logical state, so the basis stays
+    orthonormal, but site 0 of a message with weight on |0_L> is no longer
+    exactly I/2.  The 25 messages `check_hiding` samples by default see only
+    7.3e-11 of it.
+    """
+    code = hiding_code(5)
+    basis = list(code.logical_basis)
+    zero = basis[0].amps
+    z0 = np.where(np.arange(zero.size) >> 9 & 1, -1.0, 1.0) * zero
+    basis[0] = PureState.from_unnormalized(code.dims, zero + 5e-10 * z0)
+    return CodeSpec("leaky-hiding-5", 10, 5, basis, code.message_labels)
+
+
+def code_from_rows(rows, label="rows"):
+    n = rows.shape[1].bit_length() - 1
+    basis = [PureState((2,) * n, r) for r in rows]
+    k = max(1, (len(basis) - 1).bit_length())
+    return CodeSpec(label, n, k, basis, range(len(basis)))
+
+
+def locally_rotated(code, rng):
+    rows = np.stack([ls.amps for ls in code.logical_basis])
+    full = np.ones((1, 1))
+    for _ in range(code.n_physical):
+        full = np.kron(full, haar_unitary(2, rng))
+    return code_from_rows(rows @ full.T, "rotated")
+
+
+# Dense reference for the sector-overlap kernel: apply the operators to every
+# logical state and take inner products, with no shared code.
+
+
+def apply_at_site(amps, op, position, n):
+    t = np.moveaxis(amps.reshape((2,) * n), position, 0)
+    return np.moveaxis(np.tensordot(op, t, axes=([1], [0])), 0, position).reshape(-1)
+
+
+def distance_from_scalar(m):
+    diag = np.diag(m)
+    off = np.max(np.abs(m - np.diag(diag)))
+    return max(off, np.max(np.abs(diag[:, None] - diag[None, :])))
+
+
+def reference_rows(code, position):
+    """(kl_general, erasure_kl, hiding) deviations at one site."""
+    n = code.n_physical
+    basis = np.stack([ls.amps for ls in code.logical_basis])
+    applied = [
+        np.stack([apply_at_site(b, p, position, n) for b in basis])
+        for p in PAULI_BY_KIND.values()
+    ]
+    kl = max(distance_from_scalar(ta.conj() @ tb.T) for ta in applied for tb in applied)
+    erasure = max(distance_from_scalar(basis.conj() @ ta.T) for ta in applied)
+    rest = [s for s in range(n) if s != position]
+    tensors = [b.reshape((2,) * n) for b in basis]
+    hiding = 0.0
+    for i, ti in enumerate(tensors):
+        for j, tj in enumerate(tensors):
+            reduced = np.tensordot(ti, tj.conj(), axes=(rest, rest))  # Tr_rest |i><j|
+            expected = np.eye(2) / 2 if i == j else np.zeros((2, 2))
+            hiding = max(hiding, np.max(np.abs(reduced - expected)))
+    return kl, erasure, hiding
+
+
+@st.composite
+def small_codes(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["isometry", "rotated_six", "product"]))
+    if kind == "isometry":
+        n = draw(st.integers(3, 5))
+        dim = draw(st.integers(2, 8))
+        z = rng.standard_normal((2**n, dim)) + 1j * rng.standard_normal((2**n, dim))
+        return code_from_rows(np.linalg.qr(z)[0].T, "isometry")
+    if kind == "rotated_six":
+        return locally_rotated(six_qubit_logical_basis(), rng)
+    code = product_code(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    return locally_rotated(code, rng) if draw(st.booleans()) else code
+
+
 class TestErrorOperatorSet:
     def test_pauli_set(self):
         s = ErrorOperatorSet.pauli_set(2)
         assert s.position == 2
-        assert s.site_dim == 2
         assert len(s.operators) == 4
-
-    def test_matrix_unit_set(self):
-        s = ErrorOperatorSet.matrix_unit_set(0, 3)
-        assert s.site_dim == 3
-        assert len(s.operators) == 10  # identity + 9 units
 
     def test_must_include_identity(self):
         x = np.array([[0, 1], [1, 0]])
@@ -69,6 +159,8 @@ class TestErrorOperatorSet:
             ErrorOperatorSet(0, [])
         with pytest.raises(ValueError):
             ErrorOperatorSet(0, [np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError, match="2x2"):
+            ErrorOperatorSet(0, [np.eye(3)])  # logical bases live on qubits
         with pytest.raises(ValueError):
             ErrorOperatorSet(-1, [np.eye(2)])
 
@@ -112,6 +204,77 @@ class TestKlChecks:
             check_erasure_kl(six_qubit_logical_basis(), 6)
         with pytest.raises(ValueError):
             check_kl_general(six_qubit_logical_basis(), ErrorOperatorSet.pauli_set(6))
+
+
+class TestSectorOverlaps:
+    @settings(max_examples=60, deadline=None)
+    @given(small_codes())
+    def test_certify_matches_the_dense_reference(self, code):
+        report = certify(code)
+        n = code.n_physical
+        assert [c.name for c in report.checks] == (
+            [f"kl_general_pos{p}" for p in range(n)]
+            + [f"erasure_kl_pos{p}" for p in range(n)]
+            + [f"hiding_site{p}" for p in range(n)]
+        )
+        for p in range(n):
+            kl, erasure, hiding = reference_rows(code, p)
+            assert abs(report.checks[p].worst_deviation - kl) <= 1e-12
+            assert abs(report.checks[n + p].worst_deviation - erasure) <= 1e-12
+            assert abs(report.checks[2 * n + p].worst_deviation - hiding) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_codes())
+    def test_single_checks_are_the_certify_rows(self, code):
+        report = certify(code)
+        n = code.n_physical
+        for p in range(n):
+            general = check_kl_general(code, ErrorOperatorSet.pauli_set(p)).checks[0]
+            erasure = check_erasure_kl(code, p).checks[0]
+            assert general == report.checks[p]
+            assert erasure == report.checks[n + p]
+            # the Pauli products A^dag B are the Paulis up to a phase
+            assert general.worst_deviation == erasure.worst_deviation
+
+    def test_tensor_layout(self):
+        # |i> = sum_a |a>_p (x) |w_ia>: for the bare register, w_ia is the
+        # basis vector of the other bits of i when a is bit p of i, else zero
+        o = sector_overlaps(bare_three_qubit_code(), 1)
+        expected = np.zeros((8, 2, 8, 2))
+        for i in range(8):
+            for j in range(8):
+                if i & 0b101 == j & 0b101:
+                    expected[i, (i >> 1) & 1, j, (j >> 1) & 1] = 1.0
+        np.testing.assert_array_equal(o, expected)
+
+    @pytest.mark.parametrize(
+        "code",
+        [six_qubit_logical_basis(), w_code(), product_code()]
+        + [hiding_code(n) for n in (2, 3, 4, 5)],
+        ids=lambda c: c.label,
+    )
+    def test_exact_hiding_verdict_matches_the_sampled_one(self, code):
+        n = code.n_physical
+        exact = [c.passed for c in certify(code).checks[2 * n:]]
+        sampled = [bool(c.passed) for c in check_hiding(code).checks]
+        assert exact == sampled
+
+    def test_exact_hiding_catches_a_leak_that_sampling_misses(self):
+        by_name = {c.name: c for c in certify(leaky_hiding_code()).checks}
+        assert not by_name["hiding_site0"].passed
+        assert by_name["hiding_site0"].worst_deviation == pytest.approx(5e-10, rel=1e-6)
+
+    @pytest.mark.parametrize("nan_at", [(0, 0, 0, 0), (3, 1, 5, 0)])
+    def test_non_finite_overlaps_never_pass(self, monkeypatch, nan_at):
+        code = six_qubit_logical_basis()
+        overlaps = sector_overlaps(code, 0)
+        overlaps[nan_at] = np.nan
+        monkeypatch.setattr(verify, "sector_overlaps", lambda code, position: overlaps)
+        assert not any(c.passed for c in certify(code).checks)
+
+    def test_position_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            sector_overlaps(six_qubit_logical_basis(), 6)
 
 
 class TestSynthesis:
@@ -191,6 +354,7 @@ class TestSynthesis:
         syn = synthesize_recovery(w_code(), 2)
         u = syn.unitary
         np.testing.assert_allclose(u.conj().T @ u, np.eye(16), atol=1e-10)
+        assert not u.flags.writeable  # apply() relies on the one check at synthesis
         assert syn.rest_sites == (0, 1, 3, 4)
         assert syn.output_register == (1, 3, 4)
         assert syn.junk_sites == (0,)
