@@ -10,7 +10,6 @@ claims can be certified to tight numerical tolerances.
 
 from .codes import (
     CodeSpec,
-    GhzSpec,
     RecoveryPlan,
     decoder_for,
     hiding_code,
@@ -19,18 +18,14 @@ from .codes import (
     six_qubit_encoder,
     six_qubit_logical_basis,
     w_code,
-    w_code_encode,
 )
 from .gates import (
     Circuit,
     CircuitOp,
     Gate,
     apply_circuit,
-    circuit_matrix,
     custom_gate,
     invert_circuit,
-    random_unitary,
-    relabel_sites,
     standard_gate,
 )
 from .noise import (
@@ -79,7 +74,6 @@ __all__ = [
     "ErasureEvent",
     "ErrorOperatorSet",
     "Gate",
-    "GhzSpec",
     "MessageState",
     "PureState",
     "RecoveryPlan",
@@ -95,7 +89,6 @@ __all__ = [
     "check_erasure_kl",
     "check_hiding",
     "check_kl_general",
-    "circuit_matrix",
     "custom_gate",
     "decoder_for",
     "fidelity_with_pure",
@@ -106,9 +99,7 @@ __all__ = [
     "partial_trace",
     "pauli_error",
     "random_decoherence",
-    "random_unitary",
     "recovery_for",
-    "relabel_sites",
     "run_recovery_trial",
     "sector_overlaps",
     "six_qubit_encoder",
@@ -117,5 +108,4 @@ __all__ = [
     "synthesize_recovery",
     "tensor_product",
     "w_code",
-    "w_code_encode",
 ]

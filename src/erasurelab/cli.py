@@ -45,12 +45,22 @@ class ChannelSpec:
     leak_dim: int = 3
     leak_weight: float | None = None
 
-    def damaged_dim(self, n_sites: int) -> int:
-        """Total dimension of an n-qubit register once this channel hits one site."""
+    def check_size(self, n_sites: int) -> None:
+        """Refuse, before anything is allocated, a channel whose damaged
+        n-qubit register or whose Haar matrices (side squared) would exceed
+        the dimension cap."""
         if self.kind == "pauli":
-            return 2**n_sites
+            return
         out_dim = self.leak_dim if self.kind == "leak" else 2
-        return 2 ** (n_sites - 1) * out_dim * self.env_dim
+        sizes = {
+            "damaged register dimension": 2 ** (n_sites - 1) * out_dim * self.env_dim,
+            "channel Haar matrix size": (2 * self.env_dim) ** 2,
+        }
+        if self.kind == "leak":
+            sizes["leak block Haar matrix size"] = ((self.leak_dim - 2) * self.env_dim) ** 2
+        for what, size in sizes.items():
+            if size > DEFAULT_DIMENSION_CAP:
+                raise ConfigError(f"{what} {size} exceeds the cap {DEFAULT_DIMENSION_CAP}")
 
     def build(self, seed: int) -> noise.DecoherenceIsometry:
         if self.kind == "pauli":
@@ -150,7 +160,7 @@ def code_from_json_dict(data: dict, label: str = "external") -> codes_mod.CodeSp
         n_sites = int(data["n_sites"])
         dims = [int(d) for d in data["dims"]]
         raw_basis = data["logical_basis"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed code file: {exc}") from exc
     if len(dims) != n_sites:
         raise ConfigError(f"dims list has {len(dims)} entries for n_sites={n_sites}")
@@ -159,7 +169,7 @@ def code_from_json_dict(data: dict, label: str = "external") -> codes_mod.CodeSp
     try:
         register = SiteDims(dims)
         pairs = np.array(raw_basis, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed code file: {exc}") from exc
     if pairs.ndim != 3 or pairs.shape[1:] != (register.total, 2):
         raise ConfigError(
@@ -259,11 +269,7 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
         raise ConfigError(
             f"position {config.bad_position} out of range for {code.n_physical} sites"
         )
-    dim = config.channel.damaged_dim(code.n_physical)
-    if dim > DEFAULT_DIMENSION_CAP:
-        raise ConfigError(
-            f"damaged register dimension {dim} exceeds the cap {DEFAULT_DIMENSION_CAP}"
-        )
+    config.channel.check_size(code.n_physical)
     if config.code == "six" and config.code_file is None:
         plan = codes_mod.recovery_for(config.bad_position)
     else:
@@ -387,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--code-file", default=None, help="JSON code description")
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default {DEFAULT_SEED}, or ${SEED_ENV_VAR})")
-        if not certify:  # verify's certificates are exact; only trial runs take a count
-            p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
@@ -397,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_recover = sub.add_parser("recover", help="seeded damage/repair trials at one position")
     add_common(p_recover)
+    # the only command that samples; verify is exact, share-demo shares one secret
+    p_recover.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_recover.add_argument("--pos", type=int, required=True, help="damaged site index")
     p_recover.add_argument("--channel", default="random:4",
                            help="pauli:K | random:env_dim | leak:d,env_dim[,weight]")
@@ -409,6 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 1:
         raise ConfigError("trial count must be positive")

@@ -25,68 +25,15 @@ SUPPORT_TOL = 1e-12
 HIDING_MAX_QUBITS = 8
 
 
-class GhzSpec:
-    """A GHZ-type n-qubit state (|u> + sign * |u-complement>)/sqrt(2)."""
-
-    __slots__ = ("pattern", "sign")
-
-    def __init__(self, pattern, sign: int):
-        pattern = tuple(int(b) for b in pattern)
-        if not pattern or any(b not in (0, 1) for b in pattern):
-            raise ValueError(f"pattern must be a nonempty bit tuple, got {pattern}")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        self.pattern = pattern
-        self.sign = int(sign)
-
-    def state(self) -> PureState:
-        n = len(self.pattern)
-        dims = SiteDims.qubits(n)
-        amps = np.zeros(2**n, dtype=np.complex128)
-        idx = dims.index_of(self.pattern)
-        amps[idx] = 1 / math.sqrt(2)
-        amps[2**n - 1 - idx] += self.sign / math.sqrt(2)
-        return PureState(dims, amps)
-
-    @classmethod
-    def from_state(cls, state: PureState, tol: float = 1e-12) -> "GhzSpec":
-        """Classify a state as GHZ-type or raise.
-
-        Requires exactly two nonzero amplitudes of magnitude 1/sqrt(2) on
-        complementary bit patterns, with the lower-index amplitude real
-        positive (no global phase freedom).
-        """
-        if any(d != 2 for d in state.dims):
-            raise ValueError("GHZ classification needs an all-qubit register")
-        nz = np.flatnonzero(np.abs(state.amps) > tol)
-        if len(nz) != 2:
-            raise ValueError(f"expected exactly 2 nonzero amplitudes, found {len(nz)}")
-        i, j = int(nz[0]), int(nz[1])
-        if i + j != state.dims.total - 1:
-            raise ValueError("nonzero amplitudes are not on complementary patterns")
-        a, b = state.amps[i], state.amps[j]
-        if abs(a - 1 / math.sqrt(2)) > tol:
-            raise ValueError("leading amplitude is not 1/sqrt(2) real positive")
-        ratio = b / a
-        if abs(ratio - 1) <= tol:
-            sign = 1
-        elif abs(ratio + 1) <= tol:
-            sign = -1
-        else:
-            raise ValueError(f"amplitude ratio {ratio!r} is not +/-1")
-        return cls(state.dims.labels_of(i), sign)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GhzSpec):
-            return NotImplemented
-        return self.pattern == other.pattern and self.sign == other.sign
-
-    def __hash__(self) -> int:
-        return hash((self.pattern, self.sign))
-
-    def __repr__(self) -> str:
-        bits = "".join(str(b) for b in self.pattern)
-        return f"GhzSpec({bits}, {'+' if self.sign > 0 else '-'})"
+def _ghz_block(pattern, sign: int) -> PureState:
+    """The GHZ-type state (|u> + sign * |u-complement>)/sqrt(2) for the bit
+    pattern u."""
+    dims = SiteDims.qubits(len(pattern))
+    amps = np.zeros(dims.total, dtype=np.complex128)
+    idx = dims.index_of(pattern)
+    amps[idx] = 1 / math.sqrt(2)
+    amps[dims.total - 1 - idx] += sign / math.sqrt(2)
+    return PureState(dims, amps)
 
 
 class CodeSpec:
@@ -213,27 +160,14 @@ def _ghz_pair_basis(n: int) -> list[PureState]:
         bits = [(i >> (n - 1 - j)) & 1 for j in range(n)]
         pattern = tuple(bits[:-1]) + (0,)
         sign = -1 if bits[-1] else 1
-        block = GhzSpec(pattern, sign).state()
+        block = _ghz_block(pattern, sign)
         states.append(tensor_product(block, block))
     return states
 
 
 def six_qubit_encoder() -> Circuit:
-    """Encoding circuit for the six-qubit code (written order, applied right
-    to left): CNOTs copy the message onto the ancillas, Hadamards on sites 2
-    and 5 open the superposition, then CNOT fans spread it over each block."""
-    ops = [
-        op("CNOT", 5, 4),
-        op("CNOT", 5, 3),
-        op("CNOT", 2, 1),
-        op("CNOT", 2, 0),
-        op("H", 5),
-        op("H", 2),
-        op("CNOT", 2, 5),
-        op("CNOT", 1, 4),
-        op("CNOT", 0, 3),
-    ]
-    return Circuit(ops, SiteDims.qubits(6))
+    """Encoding circuit for the six-qubit code: the hiding encoder at n=3."""
+    return hiding_encoder(3)
 
 
 def six_qubit_logical_basis() -> CodeSpec:
@@ -315,14 +249,11 @@ def w_code() -> CodeSpec:
     )
 
 
-def w_code_encode(message: MessageState) -> PureState:
-    """Encode a state supported on the single-excitation subspace."""
-    return w_code().logical_combination(message)
-
-
 def hiding_encoder(n: int) -> Circuit:
-    """Encoding circuit for n message qubits into 2n sites, generalizing the
-    six-qubit encoder; at n=3 it reproduces that circuit exactly."""
+    """Encoding circuit for n message qubits into 2n sites (written order,
+    applied right to left): CNOTs copy the message onto the ancillas,
+    Hadamards on sites n-1 and 2n-1 open the superposition, then CNOT fans
+    spread it over each block."""
     if not 2 <= n <= HIDING_MAX_QUBITS:
         raise ValueError(f"message qubit count {n} out of range 2..{HIDING_MAX_QUBITS}")
     ops = []
@@ -344,7 +275,7 @@ def hiding_code(n: int) -> CodeSpec:
     do show up in its marginals.
     """
     if n == 1:
-        basis = [GhzSpec((0, 0), 1).state(), GhzSpec((0, 0), -1).state()]
+        basis = [_ghz_block((0, 0), 1), _ghz_block((0, 0), -1)]
         encoder = Circuit([op("CNOT", 0, 1), op("H", 0)], SiteDims.qubits(2))
         return CodeSpec(
             label="hiding-1",

@@ -35,15 +35,15 @@ class SiteDims:
 
     __slots__ = ("dims",)
 
-    def __init__(self, dims, cap: int = DEFAULT_DIMENSION_CAP):
+    def __init__(self, dims):
         dims = tuple(int(d) for d in dims)
         if not dims:
             raise ValueError("a register needs at least one site")
         if any(d < 2 for d in dims):
             raise ValueError(f"every site dimension must be >= 2, got {dims}")
         total = math.prod(dims)
-        if total > cap:
-            raise ValueError(f"total dimension {total} exceeds the cap {cap}")
+        if total > DEFAULT_DIMENSION_CAP:
+            raise ValueError(f"total dimension {total} exceeds the cap {DEFAULT_DIMENSION_CAP}")
         self.dims = dims
 
     @classmethod
@@ -85,11 +85,6 @@ class SiteDims:
             if not 0 <= b < d:
                 raise ValueError(f"label {b} out of range for site of dimension {d}")
         return int(np.ravel_multi_index(labels, self.dims))
-
-    def labels_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.total:
-            raise ValueError(f"index {index} out of range for total dimension {self.total}")
-        return tuple(int(b) for b in np.unravel_index(index, self.dims))
 
     def replaced(self, position: int, dim: int) -> "SiteDims":
         new = list(self.dims)
@@ -151,11 +146,6 @@ class PureState:
         """Amplitudes reshaped to one axis per site (read-only view)."""
         return self.amps.reshape(self.dims.dims)
 
-    def overlap(self, other: "PureState") -> complex:
-        if self.dims != other.dims:
-            raise ValueError("overlap between states on different registers")
-        return complex(np.vdot(self.amps, other.amps))
-
     def __repr__(self) -> str:
         return f"PureState(dims={self.dims.dims})"
 
@@ -179,12 +169,6 @@ class DensityMatrix:
         if not float(np.min(np.linalg.eigvalsh(matrix))) >= EIGENVALUE_FLOOR:
             raise ValueError("matrix has an eigenvalue below the PSD floor")
         self.matrix = _frozen(matrix)
-
-    @classmethod
-    def maximally_mixed(cls, dims) -> "DensityMatrix":
-        dims = dims if isinstance(dims, SiteDims) else SiteDims(dims)
-        d = dims.total
-        return cls(dims, np.eye(d, dtype=np.complex128) / d)
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -235,20 +219,22 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     return PureState(dims, np.kron(a.amps, b.amps))
 
 
-def apply_local_operator(
-    state: PureState,
-    op,
-    targets,
-    *,
-    check_unitary: bool = True,
-    unitarity_tol: float = OPERATOR_UNITARITY_TOL,
-) -> PureState:
-    """Apply a square operator to the listed sites of a pure state.
+def _contract(amps: np.ndarray, dims: tuple[int, ...], op: np.ndarray, targets) -> np.ndarray:
+    """Apply ``op`` to the ``targets`` of a flat amplitude vector over ``dims``
+    and return the new flat vector.  No checks: callers validate once."""
+    perm = list(targets) + [s for s in range(len(dims)) if s not in targets]
+    moved = amps.reshape(dims).transpose(perm)
+    out = (op @ moved.reshape(op.shape[0], -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(perm)).reshape(-1)
+
+
+def apply_local_operator(state: PureState, op, targets) -> PureState:
+    """Apply a unitary to the listed sites of a pure state.
 
     The operator acts on the tensor factor picked out by ``targets`` in the
     order given, i.e. its row index runs over the targets with the first
-    target most significant.  The operator must be unitary within
-    ``unitarity_tol`` unless ``check_unitary=False`` is passed.
+    target most significant.  It must be unitary within
+    ``OPERATOR_UNITARITY_TOL``.
     """
     targets = tuple(int(t) for t in targets)
     if not targets:
@@ -262,25 +248,15 @@ def apply_local_operator(
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (side, side):
         raise ValueError(f"operator shape {op.shape} does not match target dimension {side}")
-    if check_unitary:
-        dev = float(np.max(np.abs(op.conj().T @ op - np.eye(side))))
-        if not dev <= unitarity_tol:
-            raise ValueError(
-                f"operator is not unitary (deviation {dev:.3e}); "
-                "pass check_unitary=False to apply it anyway"
-            )
-    moved = np.moveaxis(state.tensor, targets, range(len(targets)))
-    out = (op @ moved.reshape(side, -1)).reshape(moved.shape)
-    out = np.moveaxis(out, range(len(targets)), targets)
-    return PureState(state.dims, out.reshape(-1))
+    dev = float(np.max(np.abs(op.conj().T @ op - np.eye(side))))
+    if not dev <= OPERATOR_UNITARITY_TOL:
+        raise ValueError(f"operator is not unitary (deviation {dev:.3e})")
+    return PureState(state.dims, _contract(state.amps, state.dims.dims, op, targets))
 
 
-def partial_trace(state, keep) -> DensityMatrix:
-    """Reduced density matrix on the kept sites, in the order given.
-
-    Accepts either a PureState or a DensityMatrix.
-    """
-    if not isinstance(state, (PureState, DensityMatrix)):
+def partial_trace(state: PureState, keep) -> DensityMatrix:
+    """Reduced density matrix on the kept sites, in the order given."""
+    if not isinstance(state, PureState):
         raise TypeError(f"cannot take a partial trace of {type(state).__name__}")
     keep = tuple(int(s) for s in keep)
     if not keep:
@@ -295,19 +271,8 @@ def partial_trace(state, keep) -> DensityMatrix:
     traced = [s for s in range(n) if s not in keep_set]
     kept_sorted = [s for s in range(n) if s in keep_set]
 
-    if isinstance(state, PureState):
-        psi = state.tensor
-        rho_t = np.tensordot(psi, psi.conj(), axes=(traced, traced))
-    elif isinstance(state, DensityMatrix):
-        t = state.matrix.reshape(dims.dims + dims.dims)
-        remaining = list(range(n))
-        for s in sorted(traced, reverse=True):
-            m = len(remaining)
-            ax = remaining.index(s)
-            t = np.trace(t, axis1=ax, axis2=ax + m)
-            remaining.pop(ax)
-        rho_t = t
-
+    psi = state.tensor
+    rho_t = np.tensordot(psi, psi.conj(), axes=(traced, traced))
     k = len(keep)
     perm = [kept_sorted.index(s) for s in keep]
     rho_t = rho_t.transpose(perm + [p + k for p in perm])

@@ -22,13 +22,7 @@ import numpy as np
 from .codes import CodeSpec
 from .gates import PAULI_BY_KIND
 from .noise import ErasureEvent, apply_erasure
-from .states import (
-    MessageState,
-    PureState,
-    apply_local_operator,
-    fidelity_with_pure,
-    partial_trace,
-)
+from .states import MessageState, PureState, _contract, fidelity_with_pure, partial_trace
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_TRIALS = 25
@@ -52,7 +46,6 @@ class CheckResult:
     name: str
     passed: bool
     worst_deviation: float
-    details: str = ""
 
 
 @dataclass(frozen=True)
@@ -151,16 +144,14 @@ def _block_deviation(overlaps: np.ndarray, g: np.ndarray) -> float:
 def _kl_row(name: str, overlaps: np.ndarray, ops: np.ndarray, tolerance: float) -> CheckResult:
     """<i|M|j> must be delta_ij times a constant, for every M in ``ops``."""
     worst = _delta_deviation(np.tensordot(ops, overlaps, axes=([1, 2], [1, 3])))
-    details = f"{len(ops)} operators over {overlaps.shape[0]} logical states"
-    return CheckResult(name, worst <= tolerance, worst, details)
+    return CheckResult(name, worst <= tolerance, worst)
 
 
 def _hiding_row(site: int, overlaps: np.ndarray, tolerance: float) -> CheckResult:
     # Tr_rest |j><i| at the site is O[i, :, j, :] transposed, so every
     # encoded message has marginal I/2 iff O = delta_ij I/2
     worst = _block_deviation(overlaps, np.eye(2) / 2)
-    return CheckResult(f"hiding_site{site}", worst <= tolerance, worst,
-                       "exact deviation of the sector overlaps from delta_ij I/2")
+    return CheckResult(f"hiding_site{site}", worst <= tolerance, worst)
 
 
 def _pair_products(operators) -> np.ndarray:
@@ -219,8 +210,13 @@ class SynthesizedRecovery:
     worst_gram_deviation: float = 0.0
 
     def apply(self, state: PureState) -> PureState:
+        if any(s >= state.n_sites or state.dims[s] != 2 for s in self.rest_sites):
+            raise ValueError(
+                f"sites {self.rest_sites} are not all intact qubits of {state.dims.dims}"
+            )
         # synthesize_recovery checked unitarity once and froze the matrix
-        return apply_local_operator(state, self.unitary, self.rest_sites, check_unitary=False)
+        return PureState(state.dims,
+                         _contract(state.amps, state.dims.dims, self.unitary, self.rest_sites))
 
 
 def _complete_orthonormal_basis(cols: np.ndarray) -> np.ndarray:
@@ -235,7 +231,6 @@ def synthesize_recovery(
     position: int,
     output_register=None,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_dim: int = SYNTHESIS_DIM_CAP,
 ) -> SynthesizedRecovery:
     """Build an erasure decoder directly from the logical basis.
 
@@ -247,9 +242,10 @@ def synthesize_recovery(
     """
     rest = tuple(s for s in range(code.n_physical) if s != position)
     rest_dim = 2 ** len(rest)
-    if rest_dim > max_dim:
+    if rest_dim > SYNTHESIS_DIM_CAP:
         raise ValueError(
-            f"undamaged register dimension {rest_dim} exceeds the synthesis cap {max_dim}"
+            f"undamaged register dimension {rest_dim} exceeds the synthesis cap "
+            f"{SYNTHESIS_DIM_CAP}"
         )
     n_logical = len(code.logical_basis)
     k = code.k_logical
@@ -355,7 +351,6 @@ def check_hiding(
             name=f"hiding_site{s}",
             passed=worst[s] <= tolerance,
             worst_deviation=float(worst[s]),
-            details=f"worst deviation from I/2 over {trials} random messages",
         )
         for s in range(n)
     )

@@ -171,6 +171,22 @@ class TestRecoverCommand:
         assert out == ""
         assert "exceeds the cap" in err
 
+    @pytest.mark.parametrize("channel", ["random:16384", "leak:32768,1,0.5"])
+    def test_haar_matrix_cap_is_checked_before_any_channel_is_built(
+        self, capsys, monkeypatch, channel
+    ):
+        # both damaged registers fit the cap exactly; the channel's own Haar
+        # matrix (32768^2 and 32766^2 entries) does not
+        def refuse(*args):
+            raise AssertionError("haar_unitary ran before its size was checked")
+
+        monkeypatch.setattr(noise, "haar_unitary", refuse)
+        code, out, err = run(capsys, "recover", "--code", "six", "--pos", "0",
+                             "--channel", channel)
+        assert code == 2
+        assert out == ""
+        assert "Haar matrix size" in err and "exceeds the cap" in err
+
     def test_every_check_row_decides_the_exit_code(self, capsys, monkeypatch):
         # a perfect fidelity with an entangled output register is still a failure
         monkeypatch.setattr(
@@ -220,6 +236,13 @@ class TestShareDemoCommand:
         assert code == 0
         assert [c["pass"] for c in report["checks"]] == [True, True, True]
 
+    def test_takes_no_trial_count(self, capsys):
+        # one secret is shared once; there is nothing to repeat
+        code, out, err = run(capsys, "share-demo", "--code", "hiding:3", "--trials", "7")
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
+
     def test_requires_a_hiding_selector(self, capsys):
         code, _, err = run(capsys, "share-demo", "--code", "six")
         assert code == 2
@@ -264,6 +287,24 @@ class TestDeterminismAndOutput:
             capsys, "verify", "--code", "w5", "--seed", "3"
         )
         assert report["meta"]["seed"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("recover", "--pos", "0", "--seed", "-1"),
+        ("share-demo", "--seed", "-3"),
+        ("verify", "--seed", "-1"),
+    ])
+    def test_negative_seed(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be non-negative, got " + argv[-1] + "\n"
+
+    def test_negative_seed_from_the_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "-4")
+        code, out, err = run(capsys, "recover", "--pos", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be non-negative, got -4\n"
 
     def test_bad_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "many")

@@ -1,0 +1,144 @@
+"""Fuzzing of the CLI boundary: malformed code files and channel specs.
+
+Whatever the document or spec, ``main`` returns 0, 1 or 2 without raising,
+prints no traceback, and a code file carrying a non-finite amplitude never
+passes.  Channel dimensions stay at most 512, and every Haar matrix is
+checked against the dimension cap before it is drawn, so a missing cap
+fails the test instead of allocating.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from erasurelab import noise
+from erasurelab.cli import code_to_json_dict, main
+from erasurelab.codes import hiding_code, w_code
+from erasurelab.states import DEFAULT_DIMENSION_CAP
+
+BASE_DOCS = [json.dumps(code_to_json_dict(code)) for code in (hiding_code(1), w_code())]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+# applied in this order, so that value edits still find the pair they address
+MUTATIONS = ("non_finite", "non_orthonormal", "pair_length", "nesting", "n_sites")
+
+
+def run_main(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err: str) -> None:
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@st.composite
+def code_documents(draw):
+    """(document, whether it holds a non-finite amplitude)."""
+    doc = json.loads(draw(st.sampled_from(BASE_DOCS)))
+    basis = doc["logical_basis"]
+    i = draw(st.integers(0, len(basis) - 1))
+    j = draw(st.integers(0, len(basis) - 1))
+    a = draw(st.integers(0, len(basis[0]) - 1))
+    chosen = draw(st.sets(st.sampled_from(MUTATIONS), min_size=1))
+    non_finite = False
+    for mutation in (m for m in MUTATIONS if m in chosen):
+        if mutation == "non_finite":
+            basis[i][a][draw(st.integers(0, 1))] = draw(st.sampled_from(NON_FINITE))
+            non_finite = True
+        elif mutation == "non_orthonormal":
+            how = draw(st.sampled_from(["scale", "mix", "copy"]))
+            if how == "copy":
+                basis[j] = basis[i]
+            else:
+                factor = draw(st.floats(-2, 2, allow_nan=False))
+                if how == "scale":
+                    basis[i] = [[factor * re, factor * im] for re, im in basis[i]]
+                else:
+                    basis[i] = [[re + factor * re2, im + factor * im2]
+                                for (re, im), (re2, im2) in zip(basis[i], basis[j])]
+        elif mutation == "pair_length":
+            basis[i][a] = basis[i][a][:1] if draw(st.booleans()) else basis[i][a] + [0.0]
+        elif mutation == "nesting":
+            how = draw(st.sampled_from(["flatten_row", "wrap_pair", "scalar_pair",
+                                        "drop_level", "not_a_list"]))
+            if how == "flatten_row":
+                basis[i] = basis[i][a]
+            elif how == "wrap_pair":
+                basis[i][a] = [basis[i][a]]
+            elif how == "scalar_pair":
+                basis[i][a] = basis[i][a][0]
+            elif how == "drop_level":
+                doc["logical_basis"] = basis[i]
+            else:
+                doc["logical_basis"] = draw(st.sampled_from(["abc", 5, {"x": 1}, None]))
+        else:
+            doc["n_sites"] = draw(st.one_of(
+                st.integers(-2, 24),
+                st.sampled_from([math.inf, -math.inf, math.nan, 2.5, "3", None, [2]]),
+            ))
+            if draw(st.booleans()):
+                doc["dims"] = draw(st.lists(st.integers(-1, 4), max_size=24))
+    return doc, non_finite
+
+
+@settings(max_examples=150, deadline=None)
+@given(code_documents())
+def test_code_file_fuzz(case):
+    doc, non_finite = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, err = run_main(["verify", "--code-file", path, "--out", os.devnull])
+    assert_clean_exit(code, err)
+    if non_finite:
+        assert code != 0
+
+
+NUMBER_FIELDS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["", "0", "512", "1e3", "nan", "inf", "x", " 4", "2.0"]),
+)
+WEIGHTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "", "0", "1", "0.5"]),
+)
+
+
+@st.composite
+def channel_specs(draw):
+    kind = draw(st.sampled_from(["pauli", "random", "leak", "", "gauss", "LEAK"]))
+    fields = draw(st.lists(NUMBER_FIELDS, max_size=3))
+    if kind == "pauli":
+        fields.insert(0, draw(st.sampled_from(["I", "X", "Y", "Z", "W", "", "XY"])))
+    if kind == "leak" and draw(st.booleans()):
+        fields.append(draw(WEIGHTS))
+    separator = draw(st.sampled_from([":", ""]))
+    return kind + separator + ",".join(fields)
+
+
+@settings(max_examples=120, deadline=None)
+@given(channel_specs())
+@example("leak:512,64,0.5")  # the damaged register fits the cap; the leak block does not
+@example("random:512")  # at the cap exactly: runs
+def test_channel_spec_fuzz(spec):
+    real_haar = noise.haar_unitary
+
+    def capped_haar(dim, rng):
+        assert dim * dim <= DEFAULT_DIMENSION_CAP, f"haar_unitary({dim}) over the cap"
+        return real_haar(dim, rng)
+
+    with mock.patch.object(noise, "haar_unitary", capped_haar):
+        code, err = run_main(["recover", "--code", "six", "--pos", "0", "--trials", "1",
+                              "--channel", spec, "--out", os.devnull])
+    assert_clean_exit(code, err)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from erasurelab.codes import six_qubit_logical_basis
-from erasurelab.gates import decompose_in_pauli_basis
+from erasurelab.gates import PAULI_BY_KIND
 from erasurelab.noise import (
     DecoherenceIsometry,
     ErasureEvent,
@@ -64,11 +64,9 @@ def test_trivial_environment_degenerates_to_a_unitary():
     ch = random_decoherence(5, env_dim=1)
     assert ch.columns.shape == (2, 2)
     np.testing.assert_allclose(ch.columns.conj().T @ ch.columns, np.eye(2), atol=1e-12)
-    # and that unitary expands cleanly in the Pauli basis
-    coeffs = decompose_in_pauli_basis(ch.columns)
-    from erasurelab.gates import PAULI_BY_KIND
-
-    rebuilt = sum(coeffs[k] * PAULI_BY_KIND[k] for k in "IXYZ")
+    # and that unitary expands cleanly in the Pauli basis, c_k = Tr(P_k^dag U) / 2
+    paulis = [PAULI_BY_KIND[k] for k in "IXYZ"]
+    rebuilt = sum(np.trace(p.conj().T @ ch.columns) / 2 * p for p in paulis)
     np.testing.assert_allclose(rebuilt, ch.columns, atol=1e-12)
 
 

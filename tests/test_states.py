@@ -49,7 +49,6 @@ def test_index_convention_exhaustive(dims):
     expected = 0
     for labels in itertools.product(*(range(d) for d in dims)):
         assert sd.index_of(labels) == expected
-        assert sd.labels_of(expected) == labels
         state = PureState.basis_state(sd, labels)
         assert state.amps[expected] == 1.0
         expected += 1
@@ -62,8 +61,6 @@ def test_index_out_of_range_errors():
         sd.index_of((0, 3))
     with pytest.raises(ValueError):
         sd.index_of((0, 1, 0))
-    with pytest.raises(ValueError):
-        sd.labels_of(6)
 
 
 def test_pure_state_norm_enforced():
@@ -145,13 +142,9 @@ def test_apply_local_operator_validates():
         apply_local_operator(s, np.eye(2), (2,))
     with pytest.raises(ValueError):
         apply_local_operator(s, np.eye(4), (0,))  # shape mismatch
-    with pytest.raises(ValueError):
+    # refused even though it keeps this particular state normalized
+    with pytest.raises(ValueError, match="not unitary"):
         apply_local_operator(s, np.diag([1.0, 2.0]), (0,))
-    # the same non-unitary matrix goes through when explicitly allowed,
-    # which breaks normalization, so the constructor complains instead
-    excited = PureState.basis_state((2, 2), (1, 0))
-    with pytest.raises(ValueError):
-        apply_local_operator(excited, np.diag([1.0, 2.0]), (0,), check_unitary=False)
 
 
 def test_apply_on_middle_site_of_mixed_radix_register():
@@ -196,10 +189,10 @@ def test_tensor_then_trace_roundtrip():
 
 
 def test_partial_trace_of_density_matrix():
+    # only pure states are traced; reduced states are never traced again
     bell = PureState.from_unnormalized((2, 2), [1, 0, 0, 1])
-    rho = partial_trace(bell, (0, 1))
-    reduced = partial_trace(rho, (1,))
-    np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
+    with pytest.raises(TypeError):
+        partial_trace(partial_trace(bell, (0, 1)), (1,))
 
 
 def test_partial_trace_validates():
@@ -227,7 +220,7 @@ def test_density_matrix_validation():
 
 
 def test_maximally_mixed_purity():
-    rho = DensityMatrix.maximally_mixed((2, 2))
+    rho = DensityMatrix((2, 2), np.eye(4) / 4)
     assert abs(rho.purity() - 0.25) <= 1e-12
     pure = partial_trace(PureState.basis_state((2, 2), 3), (0, 1))
     assert abs(pure.purity() - 1.0) <= 1e-12
@@ -257,11 +250,3 @@ def test_message_state():
         MessageState(1, [1.0, 1.0])
     r = MessageState.random(2, np.random.default_rng(9))
     assert abs(np.linalg.norm(r.amps) - 1.0) <= 1e-12
-
-
-def test_overlap():
-    a = PureState.random((2, 2), RNG)
-    b = PureState.random((2, 2), RNG)
-    assert abs(a.overlap(b) - np.vdot(a.amps, b.amps)) <= 1e-15
-    with pytest.raises(ValueError):
-        a.overlap(PureState.basis_state((2,), 0))

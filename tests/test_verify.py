@@ -15,12 +15,13 @@ from erasurelab.codes import (
 )
 from erasurelab.noise import (
     ErasureEvent,
+    apply_erasure,
     leakage_decoherence,
     pauli_error,
     random_decoherence,
 )
 from erasurelab.gates import PAULI_BY_KIND, haar_unitary
-from erasurelab.states import MessageState, PureState, partial_trace
+from erasurelab.states import MessageState, PureState, apply_local_operator, partial_trace
 from erasurelab.verify import (
     CheckResult,
     ErrorOperatorSet,
@@ -299,8 +300,6 @@ class TestSynthesis:
             np.testing.assert_allclose(syn.gram, np.eye(2) / 2, atol=1e-12)
 
     def test_matches_the_circuit_plan_on_reduced_states(self):
-        from erasurelab.noise import apply_erasure
-
         code = six_qubit_logical_basis()
         rng = np.random.default_rng(7)
         for pos in (1, 5):
@@ -346,9 +345,10 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             synthesize_recovery(code, 6)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(verify, "SYNTHESIS_DIM_CAP", 16)
         with pytest.raises(ValueError, match="cap"):
-            synthesize_recovery(six_qubit_logical_basis(), 0, max_dim=16)
+            synthesize_recovery(six_qubit_logical_basis(), 0)
 
     def test_unitary_output(self):
         syn = synthesize_recovery(w_code(), 2)
@@ -358,6 +358,20 @@ class TestSynthesis:
         assert syn.rest_sites == (0, 1, 3, 4)
         assert syn.output_register == (1, 3, 4)
         assert syn.junk_sites == (0,)
+
+    def test_apply_matches_the_validated_path_and_checks_its_sites(self):
+        code = w_code()
+        syn = synthesize_recovery(code, 2)
+        hit = apply_erasure(code.logical_basis[1], ErasureEvent(2, leakage_decoherence(3, 3)))
+        np.testing.assert_array_equal(
+            syn.apply(hit).amps, apply_local_operator(hit, syn.unitary, syn.rest_sites).amps
+        )
+        leaked_rest = apply_erasure(code.logical_basis[1],
+                                    ErasureEvent(1, leakage_decoherence(3, 3)))
+        with pytest.raises(ValueError, match="intact qubits"):
+            syn.apply(leaked_rest)
+        with pytest.raises(ValueError, match="intact qubits"):
+            syn.apply(PureState.basis_state((2, 2, 2), 0))
 
 
 class TestHidingCheck:
