@@ -24,7 +24,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import noise, verify
 from .gates import apply_circuit, invert_circuit
-from .states import (DEFAULT_DIMENSION_CAP, MessageState, PureState, SiteDims,
+from .states import (DEFAULT_DIMENSION_CAP, MessageState, SiteDims,
                      fidelity_with_pure, partial_trace)
 from .verify import DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS
 
@@ -149,19 +149,18 @@ def code_to_json_dict(code: codes_mod.CodeSpec) -> dict:
     return {
         "n_sites": code.n_physical,
         "dims": [2] * code.n_physical,
-        "logical_basis": [
-            [[float(a.real), float(a.imag)] for a in ls.amps] for ls in code.logical_basis
-        ],
+        "logical_basis": [[[float(a.real), float(a.imag)] for a in row] for row in code.basis],
     }
 
 
 def code_from_json_dict(data: dict, label: str = "external") -> codes_mod.CodeSpec:
     try:
-        n_sites = int(data["n_sites"])
-        dims = [int(d) for d in data["dims"]]
-        raw_basis = data["logical_basis"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n_sites, dims, raw_basis = data["n_sites"], data["dims"], data["logical_basis"]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed code file: {exc}") from exc
+    # JSON integers only: int() would truncate 5.9 and accept true or "2"
+    if not isinstance(dims, list) or any(type(v) is not int for v in [n_sites, *dims]):
+        raise ConfigError("malformed code file: n_sites and dims must be JSON integers")
     if len(dims) != n_sites:
         raise ConfigError(f"dims list has {len(dims)} entries for n_sites={n_sites}")
     if any(d != 2 for d in dims):
@@ -176,22 +175,15 @@ def code_from_json_dict(data: dict, label: str = "external") -> codes_mod.CodeSp
             f"logical basis has shape {pairs.shape}; expected one row of "
             f"{register.total} [re, im] pairs per logical state"
         )
-    states = []
-    for amps in pairs.view(np.complex128)[..., 0]:  # each [re, im] pair read as one complex
-        try:
-            states.append(PureState(register, amps))
-        except ValueError as exc:
-            raise ConfigError(f"bad logical state in code file: {exc}") from exc
-    if len(states) < 2:
+    if len(pairs) < 2:
         raise ConfigError("code file must define at least two logical states")
-    k = max(1, (len(states) - 1).bit_length())
     try:
         return codes_mod.CodeSpec(
             label=label,
             n_physical=n_sites,
-            k_logical=k,
-            logical_basis=states,
-            message_labels=range(len(states)),
+            k_logical=max(1, (len(pairs) - 1).bit_length()),
+            logical_basis=pairs.view(np.complex128)[..., 0],  # each [re, im] pair as one complex
+            message_labels=range(len(pairs)),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid code: {exc}") from exc

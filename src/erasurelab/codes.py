@@ -25,58 +25,63 @@ SUPPORT_TOL = 1e-12
 HIDING_MAX_QUBITS = 8
 
 
-def _ghz_block(pattern, sign: int) -> PureState:
-    """The GHZ-type state (|u> + sign * |u-complement>)/sqrt(2) for the bit
-    pattern u."""
-    dims = SiteDims.qubits(len(pattern))
-    amps = np.zeros(dims.total, dtype=np.complex128)
-    idx = dims.index_of(pattern)
-    amps[idx] = 1 / math.sqrt(2)
-    amps[dims.total - 1 - idx] += sign / math.sqrt(2)
-    return PureState(dims, amps)
-
-
 class CodeSpec:
     """A code given by its orthonormal logical basis over qubit sites.
 
-    ``message_labels[j]`` is the computational basis index (over k message
-    qubits) that encodes to ``logical_basis[j]``.  Codes whose message space
-    is a proper subspace (such as the five-qubit single-excitation code) list
-    only the labels they support.
+    ``basis`` is one read-only (L, 2^n) array: row j is the state that the
+    message index ``message_labels[j]`` (over k qubits) encodes to.  Codes
+    whose message space is a proper subspace (such as the five-qubit
+    single-excitation code) list only the labels they support.
+    ``logical_basis`` is that array, checked here, or a zero-argument
+    builder of it, run and checked on the first read of ``basis``.
     """
 
-    __slots__ = ("label", "n_physical", "k_logical", "logical_basis", "message_labels", "encoder")
+    __slots__ = ("label", "n_physical", "k_logical", "message_labels", "encoder", "_basis")
 
     def __init__(self, label, n_physical, k_logical, logical_basis, message_labels, encoder=None):
         n_physical = int(n_physical)
         k_logical = int(k_logical)
-        logical_basis = tuple(logical_basis)
         message_labels = tuple(int(m) for m in message_labels)
         if n_physical < 1 or k_logical < 1:
             raise ValueError("physical and logical qubit counts must be positive")
-        if len(logical_basis) != len(message_labels):
-            raise ValueError("need one message label per logical basis state")
-        if not logical_basis:
+        if not message_labels:
             raise ValueError("logical basis must be nonempty")
         if len(set(message_labels)) != len(message_labels):
             raise ValueError("message labels must be distinct")
         if any(m < 0 or m >= 2**k_logical for m in message_labels):
             raise ValueError(f"message labels out of range for {k_logical} qubits")
-        expected = SiteDims.qubits(n_physical)
-        for ls in logical_basis:
-            if ls.dims != expected:
-                raise ValueError(f"logical state register {ls.dims} is not {n_physical} qubits")
-        basis = np.stack([ls.amps for ls in logical_basis])
-        gram = basis.conj() @ basis.T
-        dev = float(np.max(np.abs(gram - np.eye(len(logical_basis)))))
-        if not dev <= GRAM_TOL:
-            raise ValueError(f"logical basis is not orthonormal (deviation {dev:.3e})")
         self.label = str(label)
         self.n_physical = n_physical
         self.k_logical = k_logical
-        self.logical_basis = logical_basis
         self.message_labels = message_labels
         self.encoder = encoder
+        self._basis = logical_basis
+        if not callable(logical_basis):
+            self._basis = self._checked(np.array(logical_basis, dtype=np.complex128))
+
+    def _checked(self, basis: np.ndarray) -> np.ndarray:
+        """Freeze the basis once its shape, its values and its Gram matrix pass."""
+        want = (len(self.message_labels), 2**self.n_physical)
+        if basis.shape != want:
+            raise ValueError(f"logical basis has shape {basis.shape}, expected {want}")
+        if not np.isfinite(basis).all():
+            raise ValueError("logical basis has non-finite amplitudes")
+        dev = float(np.max(np.abs(basis.conj() @ basis.T - np.eye(len(basis)))))
+        if not dev <= GRAM_TOL:
+            raise ValueError(f"logical basis is not orthonormal (deviation {dev:.3e})")
+        basis.setflags(write=False)
+        return basis
+
+    @property
+    def basis(self) -> np.ndarray:
+        if callable(self._basis):
+            self._basis = self._checked(np.asarray(self._basis(), dtype=np.complex128))
+        return self._basis
+
+    @property
+    def logical_basis(self) -> tuple[PureState, ...]:
+        """The rows of ``basis`` as states, for the benchmark's library checks."""
+        return tuple(PureState(self.dims, row) for row in self.basis)
 
     @property
     def dims(self) -> SiteDims:
@@ -95,10 +100,7 @@ class CodeSpec:
     def logical_combination(self, message: MessageState) -> PureState:
         """Encode by expanding the message directly in the logical basis."""
         self._check_support(message)
-        amps = np.zeros(2**self.n_physical, dtype=np.complex128)
-        for m, ls in zip(self.message_labels, self.logical_basis):
-            amps += message.amps[m] * ls.amps
-        return PureState(self.dims, amps)
+        return PureState(self.dims, message.amps[list(self.message_labels)] @ self.basis)
 
     def encode(self, message: MessageState) -> PureState:
         """Encode through the encoding circuit when one exists, else the basis."""
@@ -151,18 +153,20 @@ class RecoveryPlan:
         return f"RecoveryPlan(bad_position={self.bad_position})"
 
 
-def _ghz_pair_basis(n: int) -> list[PureState]:
-    """Logical states indexed 0..2^n-1: two copies of the GHZ block whose
-    pattern is the first n-1 message bits followed by 0 and whose sign is
-    set by the last message bit."""
-    states = []
-    for i in range(2**n):
-        bits = [(i >> (n - 1 - j)) & 1 for j in range(n)]
-        pattern = tuple(bits[:-1]) + (0,)
-        sign = -1 if bits[-1] else 1
-        block = _ghz_block(pattern, sign)
-        states.append(tensor_product(block, block))
-    return states
+def _ghz_pair_basis(n: int) -> np.ndarray:
+    """Logical states indexed 0..2^n-1: two copies of the GHZ block
+    (|u> + s|u~>)/sqrt(2) whose pattern u is the message index with its last
+    bit cleared and whose sign s is set by that bit.  Each row's 4 entries
+    are products of block amplitudes, exactly as a kron of the blocks."""
+    h = 1 / math.sqrt(2)
+    i = np.arange(2**n)
+    u = i & ~1
+    block = ((u, h), (2**n - 1 - u, np.where(i & 1, -h, h)))  # (pattern, amplitude)
+    basis = np.zeros((2**n, 4**n), dtype=np.complex128)
+    for a, x in block:
+        for b, y in block:
+            basis[i, a << n | b] = x * y
+    return basis
 
 
 def six_qubit_encoder() -> Circuit:
@@ -176,7 +180,7 @@ def six_qubit_logical_basis() -> CodeSpec:
         label="six-qubit-erasure",
         n_physical=6,
         k_logical=3,
-        logical_basis=_ghz_pair_basis(3),
+        logical_basis=lambda: _ghz_pair_basis(3),
         message_labels=range(8),
         encoder=six_qubit_encoder(),
     )
@@ -232,14 +236,14 @@ _W_IMAGES = {
 
 def w_code() -> CodeSpec:
     """Five-qubit code for three-qubit states with exactly one excitation."""
-    basis = []
     labels = sorted(_W_IMAGES)
-    for m in labels:
-        lo, hi = _W_IMAGES[m]
-        amps = np.zeros(32, dtype=np.complex128)
-        amps[lo] = 1 / math.sqrt(2)
-        amps[hi] = 1 / math.sqrt(2)
-        basis.append(PureState(SiteDims.qubits(5), amps))
+
+    def basis():
+        rows = np.zeros((len(labels), 32), dtype=np.complex128)
+        for row, m in enumerate(labels):
+            rows[row, list(_W_IMAGES[m])] = 1 / math.sqrt(2)
+        return rows
+
     return CodeSpec(
         label="w5",
         n_physical=5,
@@ -275,13 +279,12 @@ def hiding_code(n: int) -> CodeSpec:
     do show up in its marginals.
     """
     if n == 1:
-        basis = [_ghz_block((0, 0), 1), _ghz_block((0, 0), -1)]
         encoder = Circuit([op("CNOT", 0, 1), op("H", 0)], SiteDims.qubits(2))
         return CodeSpec(
             label="hiding-1",
             n_physical=2,
             k_logical=1,
-            logical_basis=basis,
+            logical_basis=lambda: np.array([[1, 0, 0, 1], [1, 0, 0, -1]]) / math.sqrt(2),
             message_labels=(0, 1),
             encoder=encoder,
         )
@@ -291,7 +294,7 @@ def hiding_code(n: int) -> CodeSpec:
         label=f"hiding-{n}",
         n_physical=2 * n,
         k_logical=n,
-        logical_basis=_ghz_pair_basis(n),
+        logical_basis=lambda: _ghz_pair_basis(n),
         message_labels=range(2**n),
         encoder=hiding_encoder(n),
     )

@@ -108,8 +108,13 @@ def _sectors(code: CodeSpec, position: int) -> np.ndarray:
     n = code.n_physical
     if not 0 <= position < n:
         raise ValueError(f"position {position} out of range for {n} sites")
-    basis = np.stack([ls.amps for ls in code.logical_basis]).reshape((-1,) + (2,) * n)
-    return np.moveaxis(basis, position + 1, 1).reshape(2 * len(code.logical_basis), -1)
+    basis = code.basis.reshape((-1,) + (2,) * n)
+    return np.moveaxis(basis, position + 1, 1).reshape(2 * len(basis), -1)
+
+
+def _overlaps(sectors: np.ndarray) -> np.ndarray:
+    n_logical = len(sectors) // 2
+    return (sectors.conj() @ sectors.T).reshape(n_logical, 2, n_logical, 2)
 
 
 def sector_overlaps(code: CodeSpec, position: int) -> np.ndarray:
@@ -121,9 +126,7 @@ def sector_overlaps(code: CodeSpec, position: int) -> np.ndarray:
     erasure is correctable iff O = delta_ij g (Knill-Laflamme), and the site
     shows nothing about any message iff, in addition, g = I/2.
     """
-    sectors = _sectors(code, position)
-    n_logical = len(code.logical_basis)
-    return (sectors.conj() @ sectors.T).reshape(n_logical, 2, n_logical, 2)
+    return _overlaps(_sectors(code, position))
 
 
 def _delta_deviation(m: np.ndarray) -> float:
@@ -247,11 +250,12 @@ def synthesize_recovery(
             f"undamaged register dimension {rest_dim} exceeds the synthesis cap "
             f"{SYNTHESIS_DIM_CAP}"
         )
-    n_logical = len(code.logical_basis)
+    n_logical = len(code.message_labels)
     k = code.k_logical
 
-    sectors = _sectors(code, position).reshape(n_logical, 2, rest_dim)
-    overlaps = sector_overlaps(code, position)
+    sectors = _sectors(code, position)
+    overlaps = _overlaps(sectors)
+    sectors = sectors.reshape(n_logical, 2, rest_dim)
     diagonal = np.arange(n_logical)
     gram = overlaps[diagonal, :, diagonal, :].mean(axis=0)
     worst = _block_deviation(overlaps, gram)

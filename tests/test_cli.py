@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, JSON shape, determinism, config validation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from erasurelab.cli import (
     parse_channel,
     render_json,
 )
-from erasurelab.codes import six_qubit_logical_basis, w_code
+from erasurelab.codes import CodeSpec, six_qubit_logical_basis, w_code
 from test_verify import leaky_hiding_code
 
 
@@ -97,6 +98,17 @@ class TestVerifyCommand:
         doc = code_to_json_dict(six_qubit_logical_basis())
         doc["logical_basis"][0][0][part] = float("nan")
         path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--code-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_integer_sizes_are_a_bad_configuration(self, capsys, tmp_path):
+        # read through int(), this was a valid w5 file that passed verify
+        doc = code_to_json_dict(w_code())
+        doc["n_sites"], doc["dims"] = 5.9, [2.5, 2, 2, 2, 2]
+        path = tmp_path / "w5_sizes.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", "--code-file", str(path))
         assert code == 2
@@ -395,8 +407,7 @@ class TestCodeFileFormat:
         loaded = code_from_json_dict(doc)
         assert loaded.n_physical == 6
         assert loaded.k_logical == 3
-        for a, b in zip(loaded.logical_basis, code.logical_basis):
-            np.testing.assert_allclose(a.amps, b.amps, atol=1e-15)
+        assert np.array_equal(loaded.basis, code.basis)
 
     def test_rejects_malformed_documents(self):
         good = code_to_json_dict(w_code())
@@ -409,6 +420,13 @@ class TestCodeFileFormat:
             lambda d: d["logical_basis"][0][3].pop(),  # a lone [re] amplitude
             lambda d: d.__setitem__("logical_basis", 5),
             lambda d: d.__setitem__("n_sites", 0),
+            lambda d: d.__setitem__("n_sites", 5.0),
+            lambda d: d.__setitem__("n_sites", True),
+            lambda d: d.__setitem__("n_sites", "5"),
+            lambda d: d["dims"].__setitem__(1, 2.0),
+            lambda d: d["dims"].__setitem__(2, True),
+            lambda d: d["dims"].__setitem__(4, "2"),
+            lambda d: d.__setitem__("dims", "22222"),
         ):
             doc = json.loads(json.dumps(good))
             mutation(doc)
@@ -420,3 +438,36 @@ class TestCodeFileFormat:
         doc["logical_basis"][1] = doc["logical_basis"][0]
         with pytest.raises(ConfigError, match="invalid code"):
             code_from_json_dict(doc)
+
+
+class TestBasisBuiltOnlyWhenRead:
+    def test_share_demo_never_allocates_the_hiding_8_basis(self, capsys):
+        tracemalloc.start()
+        try:
+            assert main(["share-demo", "--code", "hiding:8"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 64 * 2**20  # the basis alone is 256 x 2^16 complex, 256 MiB
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["share-demo", "--code", "hiding:3"], 0),
+        (["recover", "--code", "six", "--pos", "0", "--trials", "5"], 0),
+        (["verify", "--code", "six"], 1),
+        (["verify", "--code", "hiding:4"], 1),
+        (["recover", "--code", "w5", "--pos", "2", "--trials", "3"], 1),
+    ])
+    def test_each_command_checks_the_basis_once_or_never(self, monkeypatch, capsys, argv,
+                                                         builds):
+        checked = []
+        real = CodeSpec._checked
+
+        def counting(self, basis):
+            checked.append(self.label)
+            return real(self, basis)
+
+        monkeypatch.setattr(CodeSpec, "_checked", counting)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(checked) == builds

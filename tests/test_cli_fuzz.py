@@ -1,10 +1,11 @@
 """Fuzzing of the CLI boundary: malformed code files and channel specs.
 
-Whatever the document or spec, ``main`` returns 0, 1 or 2 without raising,
-prints no traceback, and a code file carrying a non-finite amplitude never
-passes.  Channel dimensions stay at most 512, and every Haar matrix is
-checked against the dimension cap before it is drawn, so a missing cap
-fails the test instead of allocating.
+Whatever the document or spec, ``main`` returns 0, 1 or 2 without raising
+and prints no traceback.  A code file carrying a non-finite amplitude never
+passes, and one whose ``n_sites`` or ``dims`` holds anything but JSON
+integers exits 2.  Channel dimensions stay at most 512, and every Haar
+matrix is checked against the dimension cap before it is drawn, so a
+missing cap fails the test instead of allocating.
 """
 
 import contextlib
@@ -25,6 +26,8 @@ from erasurelab.states import DEFAULT_DIMENSION_CAP
 
 BASE_DOCS = [json.dumps(code_to_json_dict(code)) for code in (hiding_code(1), w_code())]
 NON_FINITE = [math.nan, math.inf, -math.inf]
+# sizes that int() would have truncated or accepted
+NON_INTEGERS = st.one_of(st.floats(-2, 24), st.booleans(), st.sampled_from([2.0, 2.5, "2", None]))
 # applied in this order, so that value edits still find the pair they address
 MUTATIONS = ("non_finite", "non_orthonormal", "pair_length", "nesting", "n_sites")
 
@@ -43,14 +46,15 @@ def assert_clean_exit(code, err: str) -> None:
 
 @st.composite
 def code_documents(draw):
-    """(document, whether it holds a non-finite amplitude)."""
+    """(document, whether it holds a non-finite amplitude, whether a size is
+    not a JSON integer)."""
     doc = json.loads(draw(st.sampled_from(BASE_DOCS)))
     basis = doc["logical_basis"]
     i = draw(st.integers(0, len(basis) - 1))
     j = draw(st.integers(0, len(basis) - 1))
     a = draw(st.integers(0, len(basis[0]) - 1))
     chosen = draw(st.sets(st.sampled_from(MUTATIONS), min_size=1))
-    non_finite = False
+    non_finite = non_integer = False
     for mutation in (m for m in MUTATIONS if m in chosen):
         if mutation == "non_finite":
             basis[i][a][draw(st.integers(0, 1))] = draw(st.sampled_from(NON_FINITE))
@@ -84,17 +88,21 @@ def code_documents(draw):
         else:
             doc["n_sites"] = draw(st.one_of(
                 st.integers(-2, 24),
-                st.sampled_from([math.inf, -math.inf, math.nan, 2.5, "3", None, [2]]),
+                st.sampled_from([math.inf, -math.inf, math.nan, [2],
+                                 float(doc["n_sites"]), doc["n_sites"] + 0.9]),
+                NON_INTEGERS,
             ))
             if draw(st.booleans()):
-                doc["dims"] = draw(st.lists(st.integers(-1, 4), max_size=24))
-    return doc, non_finite
+                doc["dims"] = draw(st.lists(st.one_of(st.integers(-1, 4), NON_INTEGERS),
+                                            max_size=24))
+            non_integer = any(type(v) is not int for v in [doc["n_sites"], *doc["dims"]])
+    return doc, non_finite, non_integer
 
 
 @settings(max_examples=150, deadline=None)
 @given(code_documents())
 def test_code_file_fuzz(case):
-    doc, non_finite = case
+    doc, non_finite, non_integer = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "code.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -103,6 +111,8 @@ def test_code_file_fuzz(case):
     assert_clean_exit(code, err)
     if non_finite:
         assert code != 0
+    if non_integer:
+        assert code == 2
 
 
 NUMBER_FIELDS = st.one_of(

@@ -17,7 +17,6 @@ from test_gates import circuit_matrix
 from erasurelab.codes import (
     CodeSpec,
     RecoveryPlan,
-    _ghz_block,
     decoder_for,
     hiding_code,
     hiding_encoder,
@@ -87,19 +86,17 @@ class TestSixQubitBasis:
         assert code.n_physical == 6
         assert code.k_logical == 3
         for i in range(8):
-            np.testing.assert_allclose(
-                code.logical_basis[i].amps, expected_logical(i), atol=1e-15
-            )
+            np.testing.assert_allclose(code.basis[i], expected_logical(i), atol=1e-15)
 
     def test_first_state_literal(self):
-        amps = six_qubit_logical_basis().logical_basis[0].amps
+        amps = six_qubit_logical_basis().basis[0]
         expected = np.zeros(64)
         expected[[0, 7, 56, 63]] = 0.5
         np.testing.assert_allclose(amps, expected, atol=1e-15)
 
     def test_last_state_literal(self):
         # +1/2 |110110>, -1/2 |110001>, -1/2 |001110>, +1/2 |001001>
-        amps = six_qubit_logical_basis().logical_basis[7].amps
+        amps = six_qubit_logical_basis().basis[7]
         expected = np.zeros(64)
         expected[0b110110] = 0.5
         expected[0b110001] = -0.5
@@ -108,12 +105,12 @@ class TestSixQubitBasis:
         np.testing.assert_allclose(amps, expected, atol=1e-15)
 
     def test_gram_matrix_is_identity(self):
-        basis = np.stack([s.amps for s in six_qubit_logical_basis().logical_basis])
+        basis = six_qubit_logical_basis().basis
         np.testing.assert_allclose(basis.conj() @ basis.T, np.eye(8), atol=1e-12)
 
     def test_each_state_is_a_product_of_two_equal_ghz_blocks(self):
         for i in range(8):
-            amps = six_qubit_logical_basis().logical_basis[i].amps
+            amps = six_qubit_logical_basis().basis[i]
             m = amps.reshape(8, 8)
             u, sv, vh = np.linalg.svd(m)
             assert sv[0] > 1 - 1e-12 and sv[1] < 1e-12  # rank one across the split
@@ -171,7 +168,7 @@ class TestDecodeAndRecovery:
         code = six_qubit_logical_basis()
         decode = decoder_for(0)
         for i in range(8):
-            folded = apply_circuit(code.logical_basis[i], decode)
+            folded = apply_circuit(PureState(code.dims, code.basis[i]), decode)
             rho = partial_trace(folded, (3, 4, 5))
             target = PureState.basis_state((2, 2, 2), i)
             assert fidelity_with_pure(rho, target) >= 1 - 1e-12
@@ -181,7 +178,7 @@ class TestDecodeAndRecovery:
         # still yields |000> there and leaves the damaged block pure
         code = six_qubit_logical_basis()
         damaged = apply_circuit(
-            code.logical_basis[0], Circuit([op("X", 0)], SiteDims.qubits(6))
+            PureState(code.dims, code.basis[0]), Circuit([op("X", 0)], SiteDims.qubits(6))
         )
         folded = apply_circuit(damaged, decoder_for(0))
         anc = partial_trace(folded, (3, 4, 5))
@@ -241,14 +238,14 @@ class TestWCode:
             2: (0b00100, 0b11011),
             4: (0b00010, 0b11101),
         }
-        for label, ls in zip(code.message_labels, code.logical_basis):
+        for label, row in zip(code.message_labels, code.basis):
             lo, hi = expect[label]
             v = np.zeros(32)
             v[lo] = v[hi] = 1 / math.sqrt(2)
-            np.testing.assert_allclose(ls.amps, v, atol=1e-15)
+            np.testing.assert_allclose(row, v, atol=1e-15)
 
     def test_images_orthonormal(self):
-        basis = np.stack([s.amps for s in w_code().logical_basis])
+        basis = w_code().basis
         np.testing.assert_allclose(basis.conj() @ basis.T, np.eye(3), atol=1e-12)
 
     def test_uniform_superposition_encodes_linearly(self):
@@ -335,36 +332,90 @@ class TestHidingFamily:
                 )
 
 
-class TestGhzSpec:
-    """The GHZ-type blocks every six-qubit and hiding logical state is made of."""
+def ghz_pair_oracle(n: int) -> np.ndarray:
+    """hiding:n rows as kron products of GHZ blocks: label i has pattern i
+    with its last bit cleared and sign (-1)^(last bit); n = 1 is the single
+    two-site block of the Bell pair."""
+    rows = []
+    for i in range(2**n):
+        sign = -1 if i & 1 else 1
+        if n == 1:
+            rows.append(block_amps("00", sign))
+        else:
+            g = block_amps(format(i & ~1, f"0{n}b"), sign)
+            rows.append(np.kron(g, g))
+    return np.array(rows)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_roundtrip(self, n):
-        for idx in range(2 ** (n - 1)):  # lower half; complements cover the rest
-            pattern = tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
-            for sign in (1, -1):
-                assert ghz_signature(_ghz_block(pattern, sign).amps) == (idx, sign)
+
+class TestBuiltinBasis:
+    """The rows written entry by entry equal the kron of GHZ blocks bit for
+    bit: every amplitude is (1/sqrt 2)^2, not 0.5, so reports do not move."""
+
+    def test_six_matches_the_hand_transcribed_table_exactly(self):
+        basis = six_qubit_logical_basis().basis
+        assert np.array_equal(basis, [expected_logical(i) for i in range(8)])
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_hiding_matches_the_kron_oracle_exactly(self, n):
+        basis = hiding_code(n).basis
+        assert basis.dtype == np.complex128
+        assert np.array_equal(basis, ghz_pair_oracle(n))
 
 
 class TestCodeSpecValidation:
     def test_rejects_non_orthonormal_basis(self):
-        s = PureState.basis_state((2, 2), 0)
-        with pytest.raises(ValueError):
-            CodeSpec("dup", 2, 1, [s, s], (0, 1))
+        with pytest.raises(ValueError, match="orthonormal"):
+            CodeSpec("dup", 2, 1, np.eye(4)[[0, 0]], (0, 1))
+
+    def test_rejects_non_finite_amplitudes(self):
+        basis = np.eye(4)[[0, 1]].astype(complex)
+        basis[1, 3] = complex(0, np.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            CodeSpec("inf", 2, 1, basis, (0, 1))
 
     def test_rejects_mismatched_labels(self):
-        basis = [PureState.basis_state((2, 2), i) for i in range(2)]
+        basis = np.eye(4)[[0, 1]]
         with pytest.raises(ValueError):
             CodeSpec("short", 2, 1, basis, (0,))
         with pytest.raises(ValueError):
             CodeSpec("dup-label", 2, 1, basis, (1, 1))
         with pytest.raises(ValueError):
             CodeSpec("range", 2, 1, basis, (0, 2))
+        with pytest.raises(ValueError):
+            CodeSpec("empty", 2, 1, basis, ())
 
     def test_rejects_wrong_register(self):
-        basis = [PureState.basis_state((2, 2), i) for i in range(2)]
-        with pytest.raises(ValueError):
-            CodeSpec("reg", 3, 1, basis, (0, 1))
+        with pytest.raises(ValueError, match="shape"):
+            CodeSpec("reg", 3, 1, np.eye(4)[[0, 1]], (0, 1))
+
+    def test_explicit_basis_is_a_frozen_copy(self):
+        rows = np.eye(4)[[0, 1]]
+        code = CodeSpec("pair", 2, 1, rows, (0, 1))
+        rows[0, 0] = 7.0
+        assert code.basis[0, 0] == 1.0
+        assert not code.basis.flags.writeable
+
+    def test_builder_runs_once_on_first_read_and_is_checked(self):
+        calls = []
+
+        def build(rows):
+            calls.append(1)
+            return rows
+
+        code = CodeSpec("lazy", 2, 1, lambda: build(np.eye(4, dtype=complex)[[0, 3]]), (0, 1))
+        assert calls == []
+        assert code.basis is code.basis
+        assert calls == [1]
+        assert not code.basis.flags.writeable
+        bad = CodeSpec("lazy-bad", 2, 1, lambda: build(np.ones((2, 4), dtype=complex)), (0, 1))
+        with pytest.raises(ValueError, match="orthonormal"):
+            bad.basis
+
+    def test_logical_basis_gives_the_rows_as_states(self):
+        code = w_code()
+        states = code.logical_basis
+        assert [s.dims for s in states] == [code.dims] * 3
+        assert np.array_equal(np.stack([s.amps for s in states]), code.basis)
 
     def test_random_message_stays_on_supported_labels(self):
         code = w_code()

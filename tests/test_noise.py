@@ -15,7 +15,8 @@ from erasurelab.states import PureState, partial_trace
 
 
 def encoded_zero():
-    return six_qubit_logical_basis().logical_basis[0]
+    code = six_qubit_logical_basis()
+    return PureState(code.dims, code.basis[0])
 
 
 def test_pauli_identity_channel_is_a_no_op():

@@ -39,20 +39,18 @@ from erasurelab.verify import (
 
 def unprotected_pair_code():
     """Two logical states differing only on site 1; site 1 is defenseless."""
-    basis = [PureState.basis_state((2, 2), i) for i in (0, 1)]
-    return CodeSpec("pair", 2, 1, basis, (0, 1))
+    return CodeSpec("pair", 2, 1, np.eye(4)[[0, 1]], (0, 1))
 
 
 def bare_three_qubit_code():
     """The identity "encoding": message qubits sent as they are."""
-    basis = [PureState.basis_state((2, 2, 2), i) for i in range(8)]
-    return CodeSpec("bare", 3, 3, basis, range(8))
+    return CodeSpec("bare", 3, 3, np.eye(8), range(8))
 
 
 def product_code(k=3, n_ancilla=3):
     """Message qubits followed by blank ancillas: |m> (x) |0...0>."""
     n = k + n_ancilla
-    basis = [PureState.basis_state((2,) * n, m << n_ancilla) for m in range(2**k)]
+    basis = np.eye(2**n)[[m << n_ancilla for m in range(2**k)]]
     return CodeSpec("product", n, k, basis, range(2**k))
 
 
@@ -65,22 +63,21 @@ def leaky_hiding_code():
     7.3e-11 of it.
     """
     code = hiding_code(5)
-    basis = list(code.logical_basis)
-    zero = basis[0].amps
-    z0 = np.where(np.arange(zero.size) >> 9 & 1, -1.0, 1.0) * zero
-    basis[0] = PureState.from_unnormalized(code.dims, zero + 5e-10 * z0)
+    basis = code.basis.copy()
+    z0 = np.where(np.arange(basis.shape[1]) >> 9 & 1, -1.0, 1.0) * basis[0]
+    leaky = basis[0] + 5e-10 * z0
+    basis[0] = leaky / np.linalg.norm(leaky)
     return CodeSpec("leaky-hiding-5", 10, 5, basis, code.message_labels)
 
 
 def code_from_rows(rows, label="rows"):
     n = rows.shape[1].bit_length() - 1
-    basis = [PureState((2,) * n, r) for r in rows]
-    k = max(1, (len(basis) - 1).bit_length())
-    return CodeSpec(label, n, k, basis, range(len(basis)))
+    k = max(1, (len(rows) - 1).bit_length())
+    return CodeSpec(label, n, k, rows, range(len(rows)))
 
 
 def locally_rotated(code, rng):
-    rows = np.stack([ls.amps for ls in code.logical_basis])
+    rows = code.basis
     full = np.ones((1, 1))
     for _ in range(code.n_physical):
         full = np.kron(full, haar_unitary(2, rng))
@@ -105,7 +102,7 @@ def distance_from_scalar(m):
 def reference_rows(code, position):
     """(kl_general, erasure_kl, hiding) deviations at one site."""
     n = code.n_physical
-    basis = np.stack([ls.amps for ls in code.logical_basis])
+    basis = code.basis
     applied = [
         np.stack([apply_at_site(b, p, position, n) for b in basis])
         for p in PAULI_BY_KIND.values()
@@ -362,12 +359,12 @@ class TestSynthesis:
     def test_apply_matches_the_validated_path_and_checks_its_sites(self):
         code = w_code()
         syn = synthesize_recovery(code, 2)
-        hit = apply_erasure(code.logical_basis[1], ErasureEvent(2, leakage_decoherence(3, 3)))
+        state = PureState(code.dims, code.basis[1])
+        hit = apply_erasure(state, ErasureEvent(2, leakage_decoherence(3, 3)))
         np.testing.assert_array_equal(
             syn.apply(hit).amps, apply_local_operator(hit, syn.unitary, syn.rest_sites).amps
         )
-        leaked_rest = apply_erasure(code.logical_basis[1],
-                                    ErasureEvent(1, leakage_decoherence(3, 3)))
+        leaked_rest = apply_erasure(state, ErasureEvent(1, leakage_decoherence(3, 3)))
         with pytest.raises(ValueError, match="intact qubits"):
             syn.apply(leaked_rest)
         with pytest.raises(ValueError, match="intact qubits"):
@@ -389,10 +386,7 @@ class TestHidingCheck:
 
     def test_product_code_does_not_hide(self):
         # appending blank ancillas is not hiding: those sites stay |0>
-        basis = [
-            PureState.basis_state((2,) * 6, i << 3) for i in range(8)
-        ]
-        code = CodeSpec("product", 6, 3, basis, range(8))
+        code = CodeSpec("product", 6, 3, np.eye(64)[[i << 3 for i in range(8)]], range(8))
         report = check_hiding(code, trials=3, seed=0)
         assert not report.passed
         by_name = {c.name: c for c in report.checks}
