@@ -58,6 +58,7 @@ from .verify import (
     check_hiding,
     check_kl_general,
     run_recovery_trial,
+    run_recovery_trials,
     sector_overlaps,
     synthesize_recovery,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "random_decoherence",
     "recovery_for",
     "run_recovery_trial",
+    "run_recovery_trials",
     "sector_overlaps",
     "six_qubit_encoder",
     "six_qubit_logical_basis",

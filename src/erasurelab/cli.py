@@ -282,27 +282,21 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
             raise ConfigError(str(exc)) from exc
 
     rng = np.random.default_rng(config.seed)
-    trial_rows = []
-    fidelities = []
-    purities = []
-    for index in range(config.trials):
-        message = code.random_message(rng)
-        channel_seed = int(rng.integers(0, 2**63 - 1))
-        try:
-            channel = config.channel.build(channel_seed)
-        except ValueError as exc:
-            # e.g. leak:3,1 with a nonzero weight: the leaked subspace cannot
-            # host two orthonormal images, which only surfaces at build time
-            raise ConfigError(str(exc)) from exc
-        event = noise.ErasureEvent(config.bad_position, channel)
-        result = verify.run_recovery_trial(code, message, event, plan)
-        fidelities.append(result.fidelity)
-        purities.append(result.purity)
-        trial_rows.append(
-            {"index": index, "fidelity": result.fidelity, "purity": result.purity}
-        )
-    min_fid = min(fidelities)
-    min_pur = min(purities)
+    # the engine takes each trial's message and then its channel seed, so a
+    # seed gives the same trials as a loop that draws them one by one
+    messages = (code.random_message(rng) for _ in range(config.trials))
+    channels = (config.channel.build(int(rng.integers(0, 2**63 - 1)))
+                for _ in range(config.trials))
+    try:
+        results = verify.run_recovery_trials(code, plan, config.bad_position, messages, channels)
+    except ValueError as exc:
+        # e.g. leak:3,1 with a nonzero weight: the leaked subspace cannot host
+        # two orthonormal images, which only surfaces when a channel is built
+        raise ConfigError(str(exc)) from exc
+    trial_rows = [{"index": i, "fidelity": r.fidelity, "purity": r.purity}
+                  for i, r in enumerate(results)]
+    min_fid = min(r.fidelity for r in results)
+    min_pur = min(r.purity for r in results)
     checks = [
         {
             "name": "min_fidelity",

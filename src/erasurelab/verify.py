@@ -10,25 +10,31 @@ Three families of checks live here:
 * numerical synthesis of a recovery unitary from the same tensor, which
   refuses whenever the code cannot correct the erasure,
 * seeded checks through the encoder: sampled marginals of random messages,
-  and encode / damage / repair trials measured by fidelity and purity.
+  and encode / damage / repair trials measured by fidelity and purity, one
+  trial at a time (``run_recovery_trial``) or stacked
+  (``run_recovery_trials``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import CodeSpec
+from .codes import SUPPORT_TOL, CodeSpec, RecoveryPlan
 from .gates import PAULI_BY_KIND
 from .noise import ErasureEvent, apply_erasure
-from .states import MessageState, PureState, _contract, fidelity_with_pure, partial_trace
+from .states import (DEFAULT_DIMENSION_CAP, EIGENVALUE_FLOOR, HERMITICITY_TOL, NORM_TOL,
+                     TRACE_TOL, MessageState, PureState, _contract, fidelity_with_pure,
+                     partial_trace)
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_TRIALS = 25
 DEFAULT_SEED = 42
 RANK_CUTOFF = 1e-12
 SYNTHESIS_DIM_CAP = 1024
+TRIAL_CHUNK_AMPS = DEFAULT_DIMENSION_CAP // 16  # damaged amplitudes per stacked chunk
 PAULIS = np.stack([PAULI_BY_KIND[k] for k in "IXYZ"])
 PAULIS.setflags(write=False)
 
@@ -382,3 +388,98 @@ def run_recovery_trial(
         fidelity=fidelity_with_pure(rho, message.as_state()),
         purity=rho.purity(),
     )
+
+
+def _leaves_site(plan, position: int) -> bool:
+    if isinstance(plan, RecoveryPlan):
+        return plan.bad_position == position  # its circuits never touch that site
+    if isinstance(plan, SynthesizedRecovery):
+        return position not in plan.rest_sites
+    raise ValueError(f"cannot tell which sites {plan!r} acts on")
+
+
+def run_recovery_trials(
+    code: CodeSpec, plan, position: int, messages, channels
+) -> list[TrialResult]:
+    """``run_recovery_trial`` for every (message, channel) pair at one
+    damaged site, with the trials stacked.
+
+    The plan never touches ``position`` and a channel touches only that site
+    and a new environment, so the two commute: plan∘encode is one fixed
+    (L, D) map W, built once, and each trial is its message's coefficients
+    times W with its channel then applied at ``position``.  The pairs are
+    taken lazily, a message and then its channel, in chunks of at most
+    ``TRIAL_CHUNK_AMPS`` damaged amplitudes (one trial, if a single trial is
+    larger); every trial gets the checks that ``PureState`` and
+    ``DensityMatrix`` make.  Raises ValueError when the plan may act on
+    ``position``, or when a check fails.
+    """
+    n, k = code.n_physical, code.k_logical
+    if not 0 <= position < n:
+        raise ValueError(f"position {position} out of range for {n} sites")
+    if not _leaves_site(plan, position):
+        raise ValueError(f"{plan!r} acts on the damaged site {position}, so it does not "
+                         "commute with the channel there")
+    output = tuple(plan.output_register)
+    if len(output) != k:
+        raise ValueError(f"output register {output} does not hold {k} message qubits")
+    w = np.stack([plan.apply(code.encode(MessageState.basis(k, m))).amps
+                  for m in code.message_labels])
+    results: list[TrialResult] = []
+    # zip evaluates left to right: each trial's message is drawn before its channel
+    groups = itertools.groupby(zip(messages, channels),
+                               key=lambda mc: (mc[1].qubit_out_dim, mc[1].env_dim))
+    for (out_dim, env_dim), pairs in groups:
+        per_chunk = max(1, TRIAL_CHUNK_AMPS // (w.shape[1] // 2 * out_dim * env_dim))
+        while chunk := list(itertools.islice(pairs, per_chunk)):
+            results += _trial_chunk(code, w, position, output, chunk, len(results))
+    return results
+
+
+def _trial_chunk(code, w, position, output, chunk, first) -> list[TrialResult]:
+    """Encode-and-plan, damage and score T trials in stacked numpy steps."""
+    n, k = code.n_physical, code.k_logical
+    t = len(chunk)
+    if any(m.n != k for m, _ in chunk):
+        raise ValueError(f"a message does not have the {k} qubits the code expects")
+    msgs = np.stack([m.amps for m, _ in chunk])
+    labels = list(code.message_labels)
+    if np.any(np.abs(np.delete(msgs, labels, axis=1)) > SUPPORT_TOL):
+        raise ValueError("a message has weight outside the encodable subspace")
+    ch = chunk[0][1]
+    v = np.stack([c.columns for _, c in chunk]).reshape(t, ch.qubit_out_dim, ch.env_dim, 2)
+
+    psi = (msgs[:, labels] @ w).reshape(t, 2**position, 2, -1)
+    # the channel at the damaged site, the environment appended last (apply_erasure)
+    damaged = np.einsum("toei,taib->taobe", v, psi)
+    norm = np.linalg.norm(damaged.reshape(t, -1), axis=1)
+    _require(np.abs(norm - 1.0) <= NORM_TOL, first,
+             lambda i: f"damaged state norm {norm[i]!r} differs from 1 by more than {NORM_TOL}")
+
+    # output-register axes first, in the register's order, then everything traced
+    sites = damaged.reshape((t,) + (2,) * position + (ch.qubit_out_dim,)
+                            + (2,) * (n - position - 1) + (ch.env_dim,))
+    keep = [1 + s for s in output]
+    x = sites.transpose([0] + keep + [a for a in range(1, sites.ndim) if a not in keep])
+    x = x.reshape(t, 2**k, -1)
+    rho = x @ x.conj().transpose(0, 2, 1)
+
+    herm = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
+    _require(herm <= HERMITICITY_TOL, first, lambda i: "matrix is not Hermitian within tolerance")
+    tr = np.trace(rho, axis1=1, axis2=2)
+    _require(np.abs(tr - 1.0) <= TRACE_TOL, first,
+             lambda i: f"trace {complex(tr[i])!r} differs from 1 by more than {TRACE_TOL}")
+    _require(np.linalg.eigvalsh(rho).min(axis=1) >= EIGENVALUE_FLOOR, first,
+             lambda i: "matrix has an eigenvalue below the PSD floor")
+
+    overlap = np.einsum("ti,ti->t", msgs.conj(), (rho @ msgs[:, :, None])[:, :, 0]).real
+    fidelity = np.minimum(1.0, np.maximum(0.0, overlap))
+    purity = np.einsum("tij,tji->t", rho, rho).real
+    return [TrialResult(float(f), float(p)) for f, p in zip(fidelity, purity)]
+
+
+def _require(ok: np.ndarray, first: int, message) -> None:
+    """Raise for the first trial where ``ok`` is not True; NaN is never ok."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"trial {first + bad[0]}: {message(bad[0])}")

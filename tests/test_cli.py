@@ -15,7 +15,7 @@ from erasurelab.cli import (
     parse_channel,
     render_json,
 )
-from erasurelab.codes import CodeSpec, six_qubit_logical_basis, w_code
+from erasurelab.codes import CodeSpec, recovery_for, six_qubit_logical_basis, w_code
 from test_verify import leaky_hiding_code
 
 
@@ -202,7 +202,10 @@ class TestRecoverCommand:
     def test_every_check_row_decides_the_exit_code(self, capsys, monkeypatch):
         # a perfect fidelity with an entangled output register is still a failure
         monkeypatch.setattr(
-            verify, "run_recovery_trial", lambda *args: verify.TrialResult(1.0, 0.5)
+            verify, "run_recovery_trials",
+            lambda code, plan, pos, messages, channels: [
+                verify.TrialResult(1.0, 0.5) for _ in zip(messages, channels)
+            ],
         )
         code, report, _ = run_json(capsys, "recover", "--pos", "0", "--trials", "2")
         assert [c["pass"] for c in report["checks"]] == [True, False]
@@ -214,6 +217,77 @@ class TestRecoverCommand:
         )
         assert code == 2
         assert "leaked subspace" in err
+
+    @pytest.mark.parametrize("code_name, pos, channel", [
+        ("six", 2, "leak:3,4"), ("six", 5, "random:4"), ("w5", 2, "random:2"),
+    ])
+    def test_rows_are_the_per_trial_path_on_the_same_draws(self, capsys, monkeypatch,
+                                                            code_name, pos, channel):
+        # fidelity and purity are 1 whatever is drawn, so the draws are logged too
+        drawn = []
+        draw_message, build = CodeSpec.random_message, cli.ChannelSpec.build
+
+        def logged_message(self, rng):
+            message = draw_message(self, rng)
+            drawn.append(("message", tuple(message.amps)))
+            return message
+
+        def logged_build(self, seed):
+            drawn.append(("channel", seed))
+            return build(self, seed)
+
+        monkeypatch.setattr(CodeSpec, "random_message", logged_message)
+        monkeypatch.setattr(cli.ChannelSpec, "build", logged_build)
+        code, report, _ = run_json(capsys, "recover", "--code", code_name, "--pos", str(pos),
+                                   "--channel", channel, "--trials", "12", "--seed", "17")
+        monkeypatch.undo()
+        assert code == 0
+        assert len(report["trials"]) == 12
+
+        spec = cli.build_code(cli.RunConfig("recover", code_name, 17, 12, 1e-10))
+        plan = recovery_for(pos) if code_name == "six" else verify.synthesize_recovery(spec, pos)
+        rng = np.random.default_rng(17)
+        expected = []
+        for i, row in enumerate(report["trials"]):
+            message = spec.random_message(rng)
+            seed = int(rng.integers(0, 2**63 - 1))
+            expected += [("message", tuple(message.amps)), ("channel", seed)]
+            event = noise.ErasureEvent(pos, parse_channel(channel).build(seed))
+            want = verify.run_recovery_trial(spec, message, event, plan)
+            assert row["index"] == i
+            assert abs(row["fidelity"] - want.fidelity) <= 1e-14
+            assert abs(row["purity"] - want.purity) <= 1e-14
+        assert drawn == expected
+
+    @pytest.mark.parametrize("factor", [1.01, np.nan])
+    def test_a_channel_changed_after_construction_never_passes(self, capsys, monkeypatch,
+                                                                factor):
+        build = cli.ChannelSpec.build
+
+        def tampered(self, seed):
+            channel = build(self, seed)
+            channel.columns = channel.columns * factor
+            return channel
+
+        monkeypatch.setattr(cli.ChannelSpec, "build", tampered)
+        code, out, err = run(capsys, "recover", "--pos", "3", "--trials", "3")
+        assert code != 0
+        assert out == ""
+        assert err.startswith("error: trial 0: damaged state norm") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_trial_memory_is_bounded_whatever_the_trial_count(self, capsys):
+        # 512 trials of 2^9 x 2 x 16 damaged amplitudes: an unchunked stack of
+        # them alone is 128 MiB; decoder synthesis peaks at about 22 MiB
+        tracemalloc.start()
+        try:
+            assert main(["recover", "--code", "hiding:5", "--pos", "3", "--channel", "random:16",
+                         "--trials", "512"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 32 * 2**20
 
     def test_uncorrectable_code_fails_cleanly(self, capsys):
         # the Bell pair cannot correct an erasure; synthesis must refuse and

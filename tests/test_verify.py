@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erasurelab import verify
+from erasurelab.cli import parse_channel
 from erasurelab.codes import (
     CodeSpec,
     hiding_code,
@@ -32,6 +33,7 @@ from erasurelab.verify import (
     check_hiding,
     check_kl_general,
     run_recovery_trial,
+    run_recovery_trials,
     sector_overlaps,
     synthesize_recovery,
 )
@@ -430,6 +432,122 @@ class TestRecoveryTrials:
         result = run_recovery_trial(code, msg, event, recovery_for(1))
         assert result.fidelity >= 1 - 1e-10
         assert result.purity >= 1 - 1e-10
+
+
+TRIAL_CHANNELS = ("pauli:I", "pauli:X", "pauli:Y", "pauli:Z", "random:1", "random:4",
+                  "leak:3,4", "leak:4,2,0.0", "leak:4,2,1.0")
+
+
+def draw_trials(code, spec, count, rng):
+    """Seeded messages and channels, drawn as `recover` draws them."""
+    messages, channels = [], []
+    for _ in range(count):
+        messages.append(code.random_message(rng))
+        channels.append(parse_channel(spec).build(int(rng.integers(0, 2**63 - 1))))
+    return messages, channels
+
+
+def assert_matches_the_reference(code, plan, position, messages, channels):
+    batched = run_recovery_trials(code, plan, position, messages, channels)
+    assert len(batched) == len(messages)
+    for got, message, channel in zip(batched, messages, channels):
+        want = run_recovery_trial(code, message, ErasureEvent(position, channel), plan)
+        assert abs(got.fidelity - want.fidelity) <= 1e-14
+        assert abs(got.purity - want.purity) <= 1e-14
+    return batched
+
+
+def scaled(columns):
+    return columns * 1.01
+
+
+def with_nan(columns):
+    columns = columns.copy()
+    columns[1, 0] = np.nan
+    return columns
+
+
+class TestBatchedTrials:
+    @pytest.mark.parametrize("spec", TRIAL_CHANNELS)
+    def test_six_matches_the_per_trial_reference_at_every_site(self, spec):
+        code = six_qubit_logical_basis()
+        rng = np.random.default_rng(TRIAL_CHANNELS.index(spec))
+        for pos in range(6):
+            messages, channels = draw_trials(code, spec, 5, rng)
+            results = assert_matches_the_reference(code, recovery_for(pos), pos, messages,
+                                                   channels)
+            assert min(r.fidelity for r in results) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("name, pos", [("w5", 2)] + [
+        (f"hiding:{n}", pos) for n in (2, 3, 4, 5) for pos in (0, n, 2 * n - 1)
+    ])
+    def test_synthesized_decoders_match_the_per_trial_reference(self, name, pos):
+        code = w_code() if name == "w5" else hiding_code(int(name.split(":")[1]))
+        plan = synthesize_recovery(code, pos)
+        for spec in ("random:4", "leak:3,2"):
+            messages, channels = draw_trials(code, spec, 4, np.random.default_rng(pos))
+            assert_matches_the_reference(code, plan, pos, messages, channels)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.sampled_from(TRIAL_CHANNELS))
+    def test_drawn_seeds_match_the_per_trial_reference(self, seed, pos, spec):
+        code = six_qubit_logical_basis()
+        messages, channels = draw_trials(code, spec, 3, np.random.default_rng(seed))
+        assert_matches_the_reference(code, recovery_for(pos), pos, messages, channels)
+
+    def test_chunks_and_mixed_channel_shapes_keep_the_trial_order(self, monkeypatch):
+        code = six_qubit_logical_basis()
+        rng = np.random.default_rng(3)
+        messages, channels = [], []
+        for spec in ("pauli:Y", "random:4", "random:4", "leak:3,4", "pauli:Z", "random:4"):
+            m, c = draw_trials(code, spec, 3, rng)
+            messages += m
+            channels += c
+        whole = assert_matches_the_reference(code, recovery_for(4), 4, messages, channels)
+        monkeypatch.setattr(verify, "TRIAL_CHUNK_AMPS", 512)  # two random:4 trials a chunk
+        chunked = run_recovery_trials(code, recovery_for(4), 4, iter(messages), iter(channels))
+        assert len(chunked) == len(whole)
+        for got, want in zip(chunked, whole):
+            assert abs(got.fidelity - want.fidelity) <= 1e-14
+            assert abs(got.purity - want.purity) <= 1e-14
+
+    def test_refuses_a_plan_that_acts_on_the_damaged_site(self):
+        # damage at site 0, repaired with the plan for site 3
+        code = six_qubit_logical_basis()
+        messages, channels = draw_trials(code, "random:4", 3, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="damaged site 0"):
+            run_recovery_trials(code, recovery_for(3), 0, messages, channels)
+        for message, channel in zip(messages, channels):
+            wrong = run_recovery_trial(code, message, ErasureEvent(0, channel), recovery_for(3))
+            assert wrong.fidelity < 1 - 1e-6
+        with pytest.raises(ValueError, match="damaged site 0"):
+            run_recovery_trials(code, synthesize_recovery(code, 3), 0, messages, channels)
+
+        class Opaque:
+            output_register = (3, 4, 5)
+
+            def apply(self, state):
+                return state
+
+        with pytest.raises(ValueError, match="cannot tell"):
+            run_recovery_trials(code, Opaque(), 0, messages, channels)
+
+    def test_rejects_messages_the_code_cannot_encode(self):
+        code = w_code()
+        plan = synthesize_recovery(code, 2)
+        _, channels = draw_trials(code, "random:4", 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="encodable subspace"):
+            run_recovery_trials(code, plan, 2, [MessageState.basis(3, 0)], channels)
+        with pytest.raises(ValueError, match="qubits"):
+            run_recovery_trials(code, plan, 2, [MessageState.basis(2, 0)], channels)
+
+    @pytest.mark.parametrize("damage", [scaled, with_nan])
+    def test_a_channel_changed_after_construction_is_refused(self, damage):
+        code = six_qubit_logical_basis()
+        messages, channels = draw_trials(code, "random:4", 4, np.random.default_rng(9))
+        channels[2].columns = damage(channels[2].columns)
+        with pytest.raises(ValueError, match="trial 2: damaged state norm"):
+            run_recovery_trials(code, recovery_for(1), 1, messages, channels)
 
 
 def test_report_dataclasses():
