@@ -14,6 +14,7 @@ failed, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,13 +46,20 @@ class ChannelSpec:
     leak_dim: int = 3
     leak_weight: float | None = None
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(output site dimension, environment dimension) of every channel."""
+        if self.kind == "pauli":
+            return 2, 1
+        return (self.leak_dim if self.kind == "leak" else 2), self.env_dim
+
     def check_size(self, n_sites: int) -> None:
         """Refuse, before anything is allocated, a channel whose damaged
         n-qubit register or whose Haar matrices (side squared) would exceed
         the dimension cap."""
         if self.kind == "pauli":
             return
-        out_dim = self.leak_dim if self.kind == "leak" else 2
+        out_dim, _ = self.shape
         sizes = {
             "damaged register dimension": 2 ** (n_sites - 1) * out_dim * self.env_dim,
             "channel Haar matrix size": (2 * self.env_dim) ** 2,
@@ -68,6 +76,15 @@ class ChannelSpec:
         if self.kind == "random":
             return noise.random_decoherence(seed, self.env_dim)
         return noise.leakage_decoherence(seed, self.leak_dim, self.env_dim, self.leak_weight)
+
+    def columns(self, seeds) -> np.ndarray:
+        """``build(seed).columns`` for every seed, as one (T, out * env, 2)
+        stack: a Pauli is built once and broadcast, and each Haar block of
+        the seeded channels is one batched QR."""
+        if self.kind == "pauli":
+            return np.broadcast_to(noise.pauli_error(self.pauli_kind).columns, (len(seeds), 2, 2))
+        out_dim, _ = self.shape
+        return noise.decoherence_columns(seeds, self.env_dim, out_dim, self.leak_weight)
 
 
 @dataclass
@@ -284,11 +301,11 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
     rng = np.random.default_rng(config.seed)
     # the engine takes each trial's message and then its channel seed, so a
     # seed gives the same trials as a loop that draws them one by one
-    messages = (code.random_message(rng) for _ in range(config.trials))
-    channels = (config.channel.build(int(rng.integers(0, 2**63 - 1)))
-                for _ in range(config.trials))
+    trials = ((code.random_amplitudes(rng), int(rng.integers(0, 2**63 - 1)))
+              for _ in range(config.trials))
     try:
-        results = verify.run_recovery_trials(code, plan, config.bad_position, messages, channels)
+        results = verify.run_recovery_trials(code, plan, config.bad_position, config.channel,
+                                             trials)
     except ValueError as exc:
         # e.g. leak:3,1 with a nonzero weight: the leaked subspace cannot host
         # two orthonormal images, which only surfaces when a channel is built
@@ -365,6 +382,7 @@ def _default_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erasurelab",

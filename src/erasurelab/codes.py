@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .gates import Circuit, apply_circuit, op
-from .states import MessageState, PureState, SiteDims, tensor_product
+from .gates import Circuit, apply_circuit, circuit_rows, op
+from .states import MessageState, PureState, SiteDims
 
 GRAM_TOL = 1e-12
 SUPPORT_TOL = 1e-12
@@ -107,15 +107,34 @@ class CodeSpec:
         if self.encoder is None:
             return self.logical_combination(message)
         self._check_support(message)
-        n_anc = self.n_physical - self.k_logical
-        start = tensor_product(message.as_state(), PureState.basis_state(SiteDims.qubits(n_anc), 0))
-        return apply_circuit(start, self.encoder)
+        return apply_circuit(PureState(self.dims, self._padded(message.amps)), self.encoder)
+
+    def encoded_labels(self) -> np.ndarray:
+        """(L, 2^n) stack whose row j is ``encode`` of the basis message
+        ``message_labels[j]``: the basis itself when there is no encoder,
+        else the encoder run on all rows at once, one contraction per gate."""
+        if self.encoder is None:
+            return self.basis
+        one_hot = np.eye(2**self.k_logical, dtype=np.complex128)[list(self.message_labels)]
+        return circuit_rows(self._padded(one_hot), self.dims.dims, self.encoder)
+
+    def _padded(self, amps: np.ndarray) -> np.ndarray:
+        """Message amplitudes (any leading axes) as the register state
+        message (x) |0...0>, the ancillas following the message sites."""
+        padded = np.zeros(amps.shape[:-1] + (2**self.n_physical,), dtype=np.complex128)
+        padded[..., :: 2 ** (self.n_physical - self.k_logical)] = amps
+        return padded
 
     def random_message(self, rng: np.random.Generator) -> MessageState:
+        return MessageState(self.k_logical, self.random_amplitudes(rng))
+
+    def random_amplitudes(self, rng: np.random.Generator) -> np.ndarray:
+        """Amplitudes of a random message: a complex Gaussian on every label,
+        drawn as (real, imaginary) pairs in label order, normalized."""
+        z = rng.standard_normal((len(self.message_labels), 2))
         amps = np.zeros(2**self.k_logical, dtype=np.complex128)
-        for m in self.message_labels:
-            amps[m] = rng.standard_normal() + 1j * rng.standard_normal()
-        return MessageState(self.k_logical, amps / np.linalg.norm(amps))
+        amps[list(self.message_labels)] = z[:, 0] + 1j * z[:, 1]
+        return amps / np.linalg.norm(amps)
 
     def __repr__(self) -> str:
         return f"CodeSpec({self.label!r}, n={self.n_physical}, k={self.k_logical})"
@@ -147,7 +166,11 @@ class RecoveryPlan:
         self.output_register = output_register
 
     def apply(self, state: PureState) -> PureState:
-        return apply_circuit(apply_circuit(state, self.decode), self.recover)
+        return PureState(state.dims, self.apply_rows(state.amps, state.dims.dims))
+
+    def apply_rows(self, amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+        """``apply`` on a flat amplitude vector over ``dims`` or a stack of them."""
+        return circuit_rows(circuit_rows(amps, dims, self.decode), dims, self.recover)
 
     def __repr__(self) -> str:
         return f"RecoveryPlan(bad_position={self.bad_position})"

@@ -91,14 +91,26 @@ def custom_gate(matrix) -> Gate:
     return Gate("CUSTOM", matrix)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+def haar_unitary(dim: int, rng) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix, with the
+    phases of R's diagonal moved into Q (Mezzadri, math-ph/0609050).
+
+    ``rng`` is one generator, or a sequence of them: then each draws its own
+    matrix, exactly as it would alone, and the (T, dim, dim) stack of
+    unitaries comes from one batched QR.
+    """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
+    single = isinstance(rng, np.random.Generator)
+    generators = [rng] if single else list(rng)
+    z = np.empty((len(generators), dim, dim), dtype=np.complex128)
+    for g, out in zip(generators, z):
+        out.real, out.imag = g.standard_normal((2, dim, dim))  # real parts first
+    z /= math.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[:, None, :]
+    return q[0] if single else q
 
 
 class CircuitOp:
@@ -160,17 +172,21 @@ def apply_circuit(state: PureState, circuit: Circuit) -> PureState:
     site the circuit actually touches exists and has the dimension the
     circuit was built for.
     """
+    return PureState(state.dims, circuit_rows(state.amps, state.dims.dims, circuit))
+
+
+def circuit_rows(amps: np.ndarray, dims: tuple[int, ...], circuit: Circuit) -> np.ndarray:
+    """``apply_circuit`` on a flat amplitude vector over ``dims``, or on a
+    stack of them (leading axes) with one contraction per op for the whole
+    stack.  Checks once that the circuit fits the register."""
     for c_op in circuit.ops:
         for t in c_op.targets:
-            if t >= state.n_sites or state.dims[t] != circuit.dims[t]:
-                raise ValueError(
-                    f"op {c_op!r} does not fit the state register {state.dims.dims}"
-                )
+            if t >= len(dims) or dims[t] != circuit.dims[t]:
+                raise ValueError(f"op {c_op!r} does not fit the state register {dims}")
     # gate unitarity was checked once, at Gate construction (1e-12)
-    amps = state.amps
     for c_op in reversed(circuit.ops):
-        amps = _contract(amps, state.dims.dims, c_op.gate.matrix, c_op.targets)
-    return PureState(state.dims, amps)
+        amps = _contract(amps, dims, c_op.gate.matrix, c_op.targets)
+    return amps
 
 
 def invert_circuit(circuit: Circuit) -> Circuit:

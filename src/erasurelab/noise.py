@@ -118,6 +118,52 @@ def leakage_decoherence(
     return DecoherenceIsometry(env_dim, leak_dim, columns)
 
 
+def decoherence_columns(
+    seeds,
+    env_dim: int = DEFAULT_ENV_DIM,
+    leak_dim: int = 2,
+    leak_weight: float | None = None,
+) -> np.ndarray:
+    """The columns of ``random_decoherence`` (``leak_dim`` 2) or of
+    ``leakage_decoherence`` for every seed, as one (T, leak_dim * env_dim, 2)
+    stack.
+
+    Each seed gets its own generator and the same draws, in the same order,
+    as there, so row t equals that builder's columns for ``seeds[t]``.  Each
+    Haar block is one batched QR, and one isometry check covers the stack.
+    """
+    if env_dim < 1:
+        raise ValueError("environment dimension must be at least 1")
+    if leak_dim < 2:
+        raise ValueError("output site dimension must be at least 2")
+    if leak_weight is not None and not 0.0 <= leak_weight <= 1.0:
+        raise ValueError(f"leak weight {leak_weight} outside [0, 1]")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    columns = haar_unitary(2 * env_dim, rngs)[..., :2].copy()  # frees the other columns
+    if leak_dim > 2:
+        weights = np.array([rng.uniform() for rng in rngs] if leak_weight is None
+                           else [leak_weight] * len(rngs))
+        qubit_block = columns
+        columns = np.zeros((len(rngs), leak_dim * env_dim, 2), dtype=np.complex128)
+        columns[:, : 2 * env_dim] = np.sqrt(1.0 - weights)[:, None, None] * qubit_block
+        leaky = weights > 0.0
+        if leaky.any():
+            leak_levels = (leak_dim - 2) * env_dim
+            if leak_levels < 2:
+                raise ValueError(
+                    "leaked subspace too small for two orthonormal images; "
+                    f"need (leak_dim - 2) * env_dim >= 2, got {leak_levels}"
+                )
+            leak_block = haar_unitary(leak_levels, [g for g, x in zip(rngs, leaky) if x])
+            columns[leaky, 2 * env_dim :] = (np.sqrt(weights[leaky])[:, None, None]
+                                             * leak_block[..., :2])
+    gram = columns.conj().transpose(0, 2, 1) @ columns
+    dev = float(np.max(np.abs(gram - np.eye(2))))
+    if not dev <= ISOMETRY_TOL:
+        raise ValueError(f"columns are not an isometry (deviation {dev:.3e})")
+    return columns
+
+
 def apply_erasure(state: PureState, event: ErasureEvent) -> PureState:
     """Send one site through the channel.
 

@@ -220,12 +220,17 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
 
 
 def _contract(amps: np.ndarray, dims: tuple[int, ...], op: np.ndarray, targets) -> np.ndarray:
-    """Apply ``op`` to the ``targets`` of a flat amplitude vector over ``dims``
-    and return the new flat vector.  No checks: callers validate once."""
-    perm = list(targets) + [s for s in range(len(dims)) if s not in targets]
-    moved = amps.reshape(dims).transpose(perm)
-    out = (op @ moved.reshape(op.shape[0], -1)).reshape(moved.shape)
-    return out.transpose(np.argsort(perm)).reshape(-1)
+    """Apply ``op`` to the ``targets`` of a flat amplitude vector over ``dims``,
+    or of each row of a stack of them (leading axes), and return the new
+    vector or stack.  Each row gets the same matrix product a lone vector
+    gets.  No checks: callers validate once."""
+    lead = amps.shape[:-1]
+    b = len(lead)
+    perm = list(range(b)) + [b + t for t in targets]
+    perm += [b + s for s in range(len(dims)) if s not in targets]
+    moved = amps.reshape(lead + tuple(dims)).transpose(perm)
+    out = (op @ moved.reshape(lead + (op.shape[0], -1))).reshape(moved.shape)
+    return out.transpose(np.argsort(perm)).reshape(amps.shape)
 
 
 def apply_local_operator(state: PureState, op, targets) -> PureState:

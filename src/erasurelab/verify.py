@@ -219,13 +219,14 @@ class SynthesizedRecovery:
     worst_gram_deviation: float = 0.0
 
     def apply(self, state: PureState) -> PureState:
-        if any(s >= state.n_sites or state.dims[s] != 2 for s in self.rest_sites):
-            raise ValueError(
-                f"sites {self.rest_sites} are not all intact qubits of {state.dims.dims}"
-            )
+        return PureState(state.dims, self.apply_rows(state.amps, state.dims.dims))
+
+    def apply_rows(self, amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+        """``apply`` on a flat amplitude vector over ``dims`` or a stack of them."""
+        if any(s >= len(dims) or dims[s] != 2 for s in self.rest_sites):
+            raise ValueError(f"sites {self.rest_sites} are not all intact qubits of {dims}")
         # synthesize_recovery checked unitarity once and froze the matrix
-        return PureState(state.dims,
-                         _contract(state.amps, state.dims.dims, self.unitary, self.rest_sites))
+        return _contract(amps, dims, self.unitary, self.rest_sites)
 
 
 def _complete_orthonormal_basis(cols: np.ndarray) -> np.ndarray:
@@ -319,10 +320,10 @@ def synthesize_recovery(
     full_source = _complete_orthonormal_basis(source)
     used = set(target_idx)
     order = target_idx + [i for i in range(rest_dim) if i not in used]
-    full_target = np.zeros((rest_dim, rest_dim), dtype=np.complex128)
-    for col, idx in enumerate(order):
-        full_target[idx, col] = 1.0
-    unitary = full_target @ full_source.conj().T
+    # the permutation sending column c to row order[c], times full_source^H:
+    # row order[c] of the product is row c of full_source^H
+    unitary = np.empty((rest_dim, rest_dim), dtype=np.complex128)
+    unitary[order] = full_source.conj().T
     unitary_dev = float(np.max(np.abs(unitary.conj().T @ unitary - np.eye(rest_dim))))
     if not unitary_dev <= 1e-10:
         raise RuntimeError(f"synthesized map is not unitary (deviation {unitary_dev:.3e})")
@@ -398,19 +399,25 @@ def _leaves_site(plan, position: int) -> bool:
     raise ValueError(f"cannot tell which sites {plan!r} acts on")
 
 
-def run_recovery_trials(
-    code: CodeSpec, plan, position: int, messages, channels
-) -> list[TrialResult]:
-    """``run_recovery_trial`` for every (message, channel) pair at one
-    damaged site, with the trials stacked.
+def run_recovery_trials(code: CodeSpec, plan, position: int, channel, trials
+                        ) -> list[TrialResult]:
+    """``run_recovery_trial`` for every trial at one damaged site, with the
+    trials stacked.
+
+    ``trials`` yields (message amplitudes, channel seed) pairs and is taken
+    lazily.  ``channel`` is a seeded channel family such as
+    ``cli.ChannelSpec``: ``channel.shape`` is its (output site dimension,
+    environment dimension), and ``channel.columns(seeds)`` the (T, out * env,
+    2) stack of the seeds' isometry columns, built and checked once per chunk.
 
     The plan never touches ``position`` and a channel touches only that site
     and a new environment, so the two commute: plan∘encode is one fixed
-    (L, D) map W, built once, and each trial is its message's coefficients
-    times W with its channel then applied at ``position``.  The pairs are
-    taken lazily, a message and then its channel, in chunks of at most
-    ``TRIAL_CHUNK_AMPS`` damaged amplitudes (one trial, if a single trial is
-    larger); every trial gets the checks that ``PureState`` and
+    (L, D) map W, built once with one contraction per gate, and each trial is
+    its message's coefficients times W with its channel then applied at
+    ``position``.  Trials run in chunks of at most ``TRIAL_CHUNK_AMPS``
+    damaged amplitudes, and of at most as many entries of the matrices the
+    channels are built from (one trial, if a single trial is larger); every
+    trial gets the checks that ``MessageState``, ``PureState`` and
     ``DensityMatrix`` make.  Raises ValueError when the plan may act on
     ``position``, or when a check fails.
     """
@@ -423,33 +430,43 @@ def run_recovery_trials(
     output = tuple(plan.output_register)
     if len(output) != k:
         raise ValueError(f"output register {output} does not hold {k} message qubits")
-    w = np.stack([plan.apply(code.encode(MessageState.basis(k, m))).amps
-                  for m in code.message_labels])
+    w = plan.apply_rows(code.encoded_labels(), code.dims.dims)
+    out_dim, env_dim = channel.shape
+    rows = out_dim * env_dim
+    # a channel's columns come from square matrices of at most rows^2 entries
+    per_chunk = max(1, TRIAL_CHUNK_AMPS // max(w.shape[1] // 2 * rows, rows * rows))
+    trials = iter(trials)
     results: list[TrialResult] = []
-    # zip evaluates left to right: each trial's message is drawn before its channel
-    groups = itertools.groupby(zip(messages, channels),
-                               key=lambda mc: (mc[1].qubit_out_dim, mc[1].env_dim))
-    for (out_dim, env_dim), pairs in groups:
-        per_chunk = max(1, TRIAL_CHUNK_AMPS // (w.shape[1] // 2 * out_dim * env_dim))
-        while chunk := list(itertools.islice(pairs, per_chunk)):
-            results += _trial_chunk(code, w, position, output, chunk, len(results))
+    while chunk := list(itertools.islice(trials, per_chunk)):
+        msgs = _message_stack(code, [m for m, _ in chunk], len(results))
+        v = channel.columns([seed for _, seed in chunk])
+        results += _trial_chunk(code, w, position, output, msgs,
+                                v.reshape(len(chunk), out_dim, env_dim, 2), len(results))
     return results
 
 
-def _trial_chunk(code, w, position, output, chunk, first) -> list[TrialResult]:
-    """Encode-and-plan, damage and score T trials in stacked numpy steps."""
-    n, k = code.n_physical, code.k_logical
-    t = len(chunk)
-    if any(m.n != k for m, _ in chunk):
+def _message_stack(code, rows, first) -> np.ndarray:
+    """The (T, 2^k) stack of message amplitude rows, each checked as
+    ``MessageState`` and ``encode`` check it."""
+    k = code.k_logical
+    if any(np.shape(m) != (2**k,) for m in rows):
         raise ValueError(f"a message does not have the {k} qubits the code expects")
-    msgs = np.stack([m.amps for m, _ in chunk])
-    labels = list(code.message_labels)
-    if np.any(np.abs(np.delete(msgs, labels, axis=1)) > SUPPORT_TOL):
+    msgs = np.array(rows, dtype=np.complex128)
+    norm = np.linalg.norm(msgs, axis=1)
+    _require(np.abs(norm - 1.0) <= NORM_TOL, first,
+             lambda i: f"message norm {norm[i]!r} differs from 1 by more than {NORM_TOL}")
+    if np.any(np.abs(np.delete(msgs, list(code.message_labels), axis=1)) > SUPPORT_TOL):
         raise ValueError("a message has weight outside the encodable subspace")
-    ch = chunk[0][1]
-    v = np.stack([c.columns for _, c in chunk]).reshape(t, ch.qubit_out_dim, ch.env_dim, 2)
+    return msgs
 
-    psi = (msgs[:, labels] @ w).reshape(t, 2**position, 2, -1)
+
+def _trial_chunk(code, w, position, output, msgs, v, first) -> list[TrialResult]:
+    """Encode-and-plan, damage and score T trials in stacked numpy steps:
+    ``msgs`` holds their message amplitudes and ``v`` their channels'
+    columns, shaped (T, output site dimension, environment dimension, 2)."""
+    n, k = code.n_physical, code.k_logical
+    t, out_dim, env_dim, _ = v.shape
+    psi = (msgs[:, list(code.message_labels)] @ w).reshape(t, 2**position, 2, -1)
     # the channel at the damaged site, the environment appended last (apply_erasure)
     damaged = np.einsum("toei,taib->taobe", v, psi)
     norm = np.linalg.norm(damaged.reshape(t, -1), axis=1)
@@ -457,8 +474,8 @@ def _trial_chunk(code, w, position, output, chunk, first) -> list[TrialResult]:
              lambda i: f"damaged state norm {norm[i]!r} differs from 1 by more than {NORM_TOL}")
 
     # output-register axes first, in the register's order, then everything traced
-    sites = damaged.reshape((t,) + (2,) * position + (ch.qubit_out_dim,)
-                            + (2,) * (n - position - 1) + (ch.env_dim,))
+    sites = damaged.reshape((t,) + (2,) * position + (out_dim,)
+                            + (2,) * (n - position - 1) + (env_dim,))
     keep = [1 + s for s in output]
     x = sites.transpose([0] + keep + [a for a in range(1, sites.ndim) if a not in keep])
     x = x.reshape(t, 2**k, -1)

@@ -182,6 +182,10 @@ class TestRecoverCommand:
         assert code == 2
         assert out == ""
         assert "exceeds the cap" in err
+        # the stacked channel builder looks the name up there, so the hook is live
+        with pytest.raises(AssertionError, match="haar_unitary ran"):
+            main(["recover", "--pos", "0", "--channel", channel.replace("100000", "3"),
+                  "--trials", "2"])
 
     @pytest.mark.parametrize("channel", ["random:16384", "leak:32768,1,0.5"])
     def test_haar_matrix_cap_is_checked_before_any_channel_is_built(
@@ -198,13 +202,15 @@ class TestRecoverCommand:
         assert code == 2
         assert out == ""
         assert "Haar matrix size" in err and "exceeds the cap" in err
+        with pytest.raises(AssertionError, match="haar_unitary ran"):
+            main(["recover", "--pos", "0", "--channel", "leak:3,2,0.5", "--trials", "2"])
 
     def test_every_check_row_decides_the_exit_code(self, capsys, monkeypatch):
         # a perfect fidelity with an entangled output register is still a failure
         monkeypatch.setattr(
             verify, "run_recovery_trials",
-            lambda code, plan, pos, messages, channels: [
-                verify.TrialResult(1.0, 0.5) for _ in zip(messages, channels)
+            lambda code, plan, pos, channel, trials: [
+                verify.TrialResult(1.0, 0.5) for _ in trials
             ],
         )
         code, report, _ = run_json(capsys, "recover", "--pos", "0", "--trials", "2")
@@ -220,69 +226,91 @@ class TestRecoverCommand:
 
     @pytest.mark.parametrize("code_name, pos, channel", [
         ("six", 2, "leak:3,4"), ("six", 5, "random:4"), ("w5", 2, "random:2"),
+        ("six", 1, "pauli:Y"), ("hiding:3", 4, "leak:4,2"),
     ])
     def test_rows_are_the_per_trial_path_on_the_same_draws(self, capsys, monkeypatch,
                                                             code_name, pos, channel):
-        # fidelity and purity are 1 whatever is drawn, so the draws are logged too
-        drawn = []
-        draw_message, build = CodeSpec.random_message, cli.ChannelSpec.build
+        # fidelity and purity are 1 whatever is drawn, so the stacks the engine
+        # is handed are logged too
+        drawn, seeds = [], []
+        draw_message, stack = CodeSpec.random_amplitudes, cli.ChannelSpec.columns
+        chunk = verify._trial_chunk
 
         def logged_message(self, rng):
-            message = draw_message(self, rng)
-            drawn.append(("message", tuple(message.amps)))
-            return message
+            amps = draw_message(self, rng)
+            drawn.append(amps)
+            return amps
 
-        def logged_build(self, seed):
-            drawn.append(("channel", seed))
-            return build(self, seed)
+        def logged_columns(self, chunk_seeds):
+            seeds.extend(chunk_seeds)
+            return stack(self, chunk_seeds)
 
-        monkeypatch.setattr(CodeSpec, "random_message", logged_message)
-        monkeypatch.setattr(cli.ChannelSpec, "build", logged_build)
+        stacks = []
+
+        def logged_chunk(code, w, position, output, msgs, v, first):
+            stacks.append((msgs, v.reshape(len(v), -1, 2)))
+            return chunk(code, w, position, output, msgs, v, first)
+
+        monkeypatch.setattr(CodeSpec, "random_amplitudes", logged_message)
+        monkeypatch.setattr(cli.ChannelSpec, "columns", logged_columns)
+        monkeypatch.setattr(verify, "_trial_chunk", logged_chunk)
+        monkeypatch.setattr(verify, "TRIAL_CHUNK_AMPS", 256)  # several chunks
         code, report, _ = run_json(capsys, "recover", "--code", code_name, "--pos", str(pos),
                                    "--channel", channel, "--trials", "12", "--seed", "17")
         monkeypatch.undo()
         assert code == 0
         assert len(report["trials"]) == 12
+        assert len(stacks) > 1
 
         spec = cli.build_code(cli.RunConfig("recover", code_name, 17, 12, 1e-10))
         plan = recovery_for(pos) if code_name == "six" else verify.synthesize_recovery(spec, pos)
         rng = np.random.default_rng(17)
-        expected = []
+        messages, expected_seeds, columns = [], [], []
         for i, row in enumerate(report["trials"]):
             message = spec.random_message(rng)
             seed = int(rng.integers(0, 2**63 - 1))
-            expected += [("message", tuple(message.amps)), ("channel", seed)]
-            event = noise.ErasureEvent(pos, parse_channel(channel).build(seed))
-            want = verify.run_recovery_trial(spec, message, event, plan)
+            channel_i = parse_channel(channel).build(seed)
+            messages.append(message.amps)
+            expected_seeds.append(seed)
+            columns.append(channel_i.columns)
+            want = verify.run_recovery_trial(spec, message, noise.ErasureEvent(pos, channel_i),
+                                             plan)
             assert row["index"] == i
             assert abs(row["fidelity"] - want.fidelity) <= 1e-14
             assert abs(row["purity"] - want.purity) <= 1e-14
-        assert drawn == expected
+        assert np.array_equal(np.stack(drawn), np.stack(messages))
+        assert seeds == expected_seeds
+        # bitwise: the per-trial loop's draws, stacked in trial order
+        assert np.array_equal(np.concatenate([m for m, _ in stacks]), np.stack(messages))
+        assert np.array_equal(np.concatenate([v for _, v in stacks]), np.stack(columns))
 
     @pytest.mark.parametrize("factor", [1.01, np.nan])
     def test_a_channel_changed_after_construction_never_passes(self, capsys, monkeypatch,
                                                                 factor):
-        build = cli.ChannelSpec.build
+        stack = cli.ChannelSpec.columns
 
-        def tampered(self, seed):
-            channel = build(self, seed)
-            channel.columns = channel.columns * factor
-            return channel
+        def tampered(self, seeds):
+            return stack(self, seeds) * factor
 
-        monkeypatch.setattr(cli.ChannelSpec, "build", tampered)
+        monkeypatch.setattr(cli.ChannelSpec, "columns", tampered)
         code, out, err = run(capsys, "recover", "--pos", "3", "--trials", "3")
         assert code != 0
         assert out == ""
         assert err.startswith("error: trial 0: damaged state norm") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_trial_memory_is_bounded_whatever_the_trial_count(self, capsys):
+    @pytest.mark.parametrize("argv", [
         # 512 trials of 2^9 x 2 x 16 damaged amplitudes: an unchunked stack of
-        # them alone is 128 MiB; decoder synthesis peaks at about 22 MiB
+        # them alone is 128 MiB; decoder synthesis peaks at about 18 MiB
+        ["--code", "hiding:5", "--pos", "3", "--channel", "random:16", "--trials", "512"],
+        # two Haar blocks per trial, 32^2 and 16^2 entries: unchunked, the
+        # channel stacks of 4096 trials alone are 80 MiB
+        ["--code", "six", "--pos", "0", "--channel", "leak:3,16", "--trials", "4096"],
+    ])
+    def test_trial_memory_is_bounded_whatever_the_trial_count(self, capsys, argv):
         tracemalloc.start()
         try:
-            assert main(["recover", "--code", "hiding:5", "--pos", "3", "--channel", "random:16",
-                         "--trials", "512"]) == 0
+            assert main(["recover", *argv]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -397,6 +425,26 @@ class TestDeterminismAndOutput:
         code, _, err = run(capsys, "verify", "--code", "w5")
         assert code == 2
         assert cli.SEED_ENV_VAR in err
+
+    def test_one_parser_serves_every_command_in_a_process(self, capsys):
+        sequence = [
+            ("verify", "--code", "w5"),
+            ("recover", "--code", "six", "--pos", "2", "--trials", "3", "--channel", "leak:3,2"),
+            ("recover", "--pos", "9"),  # a bad configuration in between: exit 2
+            ("share-demo", "--code", "hiding:2", "--seed", "5"),
+            ("share-demo", "--trials", "3"),  # a usage error: exit 2
+            ("verify", "--code-file", "missing.json", "--tolerance", "1e-9"),
+            ("recover", "--code", "w5", "--pos", "1", "--trials", "2"),
+            ("share-demo",),
+            ("verify", "--code", "w5"),
+        ]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 2, 0, 0, 0]
+        assert cli.build_parser() is cli.build_parser()
+        assert [run(capsys, *argv) for argv in sequence] == fresh
 
     def test_different_seeds_differ(self, capsys):
         _, a, _ = run(capsys, "recover", "--pos", "0", "--trials", "3", "--seed", "1")

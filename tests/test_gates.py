@@ -10,6 +10,7 @@ from erasurelab.gates import (
     CircuitOp,
     Gate,
     apply_circuit,
+    circuit_rows,
     custom_gate,
     haar_unitary,
     invert_circuit,
@@ -144,6 +145,15 @@ class TestOneContraction:
             np.testing.assert_allclose(out, ref.amps, atol=1e-12)
             np.testing.assert_array_equal(out, validated.amps)
 
+    def test_a_stack_of_rows_gets_the_per_row_result(self):
+        circuit = Circuit(self.OPS, (2, 2, 2))
+        rng = np.random.default_rng(29)
+        rows = [PureState.random((2, 2, 2, 3), rng) for _ in range(4)]
+        stacked = circuit_rows(np.stack([r.amps for r in rows]), (2, 2, 2, 3), circuit)
+        assert np.array_equal(stacked, np.stack([apply_circuit(r, circuit).amps for r in rows]))
+        with pytest.raises(ValueError, match="does not fit"):
+            circuit_rows(stacked, (2, 3, 2, 3), circuit)
+
     def test_builds_one_state_per_circuit(self, monkeypatch):
         built = []
         init = states.PureState.__init__
@@ -192,6 +202,13 @@ def test_haar_unitary_seeded():
     u2 = haar_unitary(6, np.random.default_rng(99))
     np.testing.assert_array_equal(u1, u2)
     np.testing.assert_allclose(u1.conj().T @ u1, np.eye(6), atol=1e-12)
+
+
+def test_haar_unitary_stack_is_one_per_generator():
+    stack = haar_unitary(6, [np.random.default_rng(s) for s in (99, 5, 99)])
+    assert stack.shape == (3, 6, 6)
+    for u, seed in zip(stack, (99, 5, 99)):
+        np.testing.assert_array_equal(u, haar_unitary(6, np.random.default_rng(seed)))
 
 
 def test_circuit_matrix_matches_kron():

@@ -7,6 +7,7 @@ from erasurelab.noise import (
     DecoherenceIsometry,
     ErasureEvent,
     apply_erasure,
+    decoherence_columns,
     leakage_decoherence,
     pauli_error,
     random_decoherence,
@@ -158,3 +159,47 @@ def test_decoherence_isometry_validation():
         DecoherenceIsometry(0, 2, np.eye(2))
     with pytest.raises(ValueError):
         DecoherenceIsometry(1, 1, np.eye(2))
+
+
+SEEDS = [3, 2**62 + 5, 0, 17, 3]
+
+
+class TestStackedColumns:
+    @pytest.mark.parametrize("env_dim", [1, 2, 4])
+    def test_random_rows_are_the_per_seed_channels(self, env_dim):
+        stack = decoherence_columns(SEEDS, env_dim)
+        want = np.stack([random_decoherence(s, env_dim).columns for s in SEEDS])
+        assert np.array_equal(stack, want)
+
+    @pytest.mark.parametrize("leak_dim, env_dim, weight", [
+        (3, 4, None), (4, 2, None), (4, 2, 0.0), (4, 2, 1.0), (3, 2, 0.3), (3, 1, 0.0),
+    ])
+    def test_leak_rows_are_the_per_seed_channels(self, leak_dim, env_dim, weight):
+        stack = decoherence_columns(SEEDS, env_dim, leak_dim, weight)
+        want = np.stack([leakage_decoherence(s, leak_dim, env_dim, weight).columns
+                         for s in SEEDS])
+        assert np.array_equal(stack, want)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="environment"):
+            decoherence_columns(SEEDS, 0)
+        with pytest.raises(ValueError, match="output site"):
+            decoherence_columns(SEEDS, 2, 1)
+        with pytest.raises(ValueError, match="outside"):
+            decoherence_columns(SEEDS, 2, 3, 1.5)
+        with pytest.raises(ValueError, match="leaked subspace"):
+            decoherence_columns(SEEDS, 1, 3, 0.5)
+
+    def test_a_non_finite_draw_fails_the_isometry_check(self, monkeypatch):
+        from erasurelab import noise
+
+        real = noise.haar_unitary
+
+        def with_nan(dim, rngs):
+            u = real(dim, rngs).copy()
+            u[-1, 0, 0] = np.nan
+            return u
+
+        monkeypatch.setattr(noise, "haar_unitary", with_nan)
+        with pytest.raises(ValueError, match="not an isometry"):
+            decoherence_columns(SEEDS, 2)

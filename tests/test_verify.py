@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erasurelab import verify
-from erasurelab.cli import parse_channel
+from erasurelab.cli import code_from_json_dict, code_to_json_dict, parse_channel
 from erasurelab.codes import (
     CodeSpec,
     hiding_code,
@@ -358,6 +358,27 @@ class TestSynthesis:
         assert syn.output_register == (1, 3, 4)
         assert syn.junk_sites == (0,)
 
+    @pytest.mark.parametrize("name", ["w5", "hiding:2", "hiding:3", "hiding:4", "hiding:5"])
+    def test_unitary_is_the_dense_permutation_product(self, monkeypatch, name):
+        code = w_code() if name == "w5" else hiding_code(int(name.split(":")[1]))
+        sources = []
+        complete = verify._complete_orthonormal_basis
+
+        def keep(cols):
+            sources.append(complete(cols))
+            return sources[-1]
+
+        monkeypatch.setattr(verify, "_complete_orthonormal_basis", keep)
+        for pos in range(code.n_physical):
+            unitary = synthesize_recovery(code, pos).unitary
+            source = sources[-1]
+            # unitary = P source^H for a permutation P, read back off the result
+            perm = np.rint(np.abs(unitary @ source))
+            ones = np.ones(len(perm))
+            assert set(np.unique(perm)) == {0.0, 1.0}
+            assert np.array_equal(perm.sum(axis=0), ones) and np.array_equal(perm.sum(axis=1), ones)
+            assert np.array_equal(unitary, perm.astype(np.complex128) @ source.conj().T)
+
     def test_apply_matches_the_validated_path_and_checks_its_sites(self):
         code = w_code()
         syn = synthesize_recovery(code, 2)
@@ -439,19 +460,19 @@ TRIAL_CHANNELS = ("pauli:I", "pauli:X", "pauli:Y", "pauli:Z", "random:1", "rando
 
 
 def draw_trials(code, spec, count, rng):
-    """Seeded messages and channels, drawn as `recover` draws them."""
-    messages, channels = [], []
-    for _ in range(count):
-        messages.append(code.random_message(rng))
-        channels.append(parse_channel(spec).build(int(rng.integers(0, 2**63 - 1))))
-    return messages, channels
+    """Seeded message rows and channel seeds, drawn as `recover` draws them."""
+    return [(code.random_message(rng).amps, int(rng.integers(0, 2**63 - 1)))
+            for _ in range(count)]
 
 
-def assert_matches_the_reference(code, plan, position, messages, channels):
-    batched = run_recovery_trials(code, plan, position, messages, channels)
-    assert len(batched) == len(messages)
-    for got, message, channel in zip(batched, messages, channels):
-        want = run_recovery_trial(code, message, ErasureEvent(position, channel), plan)
+def assert_matches_the_reference(code, plan, position, channel, trials):
+    """The engine against `run_recovery_trial` on each trial's message and
+    the channel `channel.build(seed)`, one at a time."""
+    batched = run_recovery_trials(code, plan, position, channel, iter(trials))
+    assert len(batched) == len(trials)
+    for got, (amps, seed) in zip(batched, trials):
+        message = MessageState(code.k_logical, amps)
+        want = run_recovery_trial(code, message, ErasureEvent(position, channel.build(seed)), plan)
         assert abs(got.fidelity - want.fidelity) <= 1e-14
         assert abs(got.purity - want.purity) <= 1e-14
     return batched
@@ -467,15 +488,49 @@ def with_nan(columns):
     return columns
 
 
+class Tampered:
+    """A channel family whose stack has one row changed after it was built."""
+
+    def __init__(self, spec, row, damage):
+        self.spec, self.row, self.damage = spec, row, damage
+        self.shape = spec.shape
+
+    def columns(self, seeds):
+        columns = self.spec.columns(seeds).copy()
+        columns[self.row] = self.damage(columns[self.row])
+        return columns
+
+
+def stacked_w(code, plan, position, spec="pauli:I"):
+    """The plan∘encode stack the engine hands its chunks, for one trial."""
+    seen = []
+    chunk = verify._trial_chunk
+
+    def capture(code, w, *args):
+        seen.append(w)
+        return chunk(code, w, *args)
+
+    trial = draw_trials(code, spec, 1, np.random.default_rng(0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_trial_chunk", capture)
+        run_recovery_trials(code, plan, position, parse_channel(spec), trial)
+    return seen[0]
+
+
+def per_label_w(code, plan):
+    return np.stack([plan.apply(code.encode(MessageState.basis(code.k_logical, m))).amps
+                     for m in code.message_labels])
+
+
 class TestBatchedTrials:
     @pytest.mark.parametrize("spec", TRIAL_CHANNELS)
     def test_six_matches_the_per_trial_reference_at_every_site(self, spec):
         code = six_qubit_logical_basis()
         rng = np.random.default_rng(TRIAL_CHANNELS.index(spec))
         for pos in range(6):
-            messages, channels = draw_trials(code, spec, 5, rng)
-            results = assert_matches_the_reference(code, recovery_for(pos), pos, messages,
-                                                   channels)
+            trials = draw_trials(code, spec, 5, rng)
+            results = assert_matches_the_reference(code, recovery_for(pos), pos,
+                                                   parse_channel(spec), trials)
             assert min(r.fidelity for r in results) >= 1 - 1e-10
 
     @pytest.mark.parametrize("name, pos", [("w5", 2)] + [
@@ -485,43 +540,75 @@ class TestBatchedTrials:
         code = w_code() if name == "w5" else hiding_code(int(name.split(":")[1]))
         plan = synthesize_recovery(code, pos)
         for spec in ("random:4", "leak:3,2"):
-            messages, channels = draw_trials(code, spec, 4, np.random.default_rng(pos))
-            assert_matches_the_reference(code, plan, pos, messages, channels)
+            trials = draw_trials(code, spec, 4, np.random.default_rng(pos))
+            assert_matches_the_reference(code, plan, pos, parse_channel(spec), trials)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.sampled_from(TRIAL_CHANNELS))
     def test_drawn_seeds_match_the_per_trial_reference(self, seed, pos, spec):
         code = six_qubit_logical_basis()
-        messages, channels = draw_trials(code, spec, 3, np.random.default_rng(seed))
-        assert_matches_the_reference(code, recovery_for(pos), pos, messages, channels)
+        trials = draw_trials(code, spec, 3, np.random.default_rng(seed))
+        assert_matches_the_reference(code, recovery_for(pos), pos, parse_channel(spec), trials)
 
-    def test_chunks_and_mixed_channel_shapes_keep_the_trial_order(self, monkeypatch):
+    @pytest.mark.parametrize("spec", TRIAL_CHANNELS)
+    def test_channel_stacks_are_the_per_seed_builds(self, spec):
+        channel = parse_channel(spec)
+        seeds = [int(s) for s in np.random.default_rng(7).integers(0, 2**63 - 1, size=6)]
+        stack = channel.columns(seeds)
+        assert stack.shape == (6, channel.shape[0] * channel.shape[1], 2)
+        assert np.array_equal(stack, np.stack([channel.build(seed).columns for seed in seeds]))
+
+    def test_chunks_keep_the_trial_order(self, monkeypatch):
         code = six_qubit_logical_basis()
         rng = np.random.default_rng(3)
-        messages, channels = [], []
-        for spec in ("pauli:Y", "random:4", "random:4", "leak:3,4", "pauli:Z", "random:4"):
-            m, c = draw_trials(code, spec, 3, rng)
-            messages += m
-            channels += c
-        whole = assert_matches_the_reference(code, recovery_for(4), 4, messages, channels)
-        monkeypatch.setattr(verify, "TRIAL_CHUNK_AMPS", 512)  # two random:4 trials a chunk
-        chunked = run_recovery_trials(code, recovery_for(4), 4, iter(messages), iter(channels))
-        assert len(chunked) == len(whole)
-        for got, want in zip(chunked, whole):
-            assert abs(got.fidelity - want.fidelity) <= 1e-14
-            assert abs(got.purity - want.purity) <= 1e-14
+        for spec in ("pauli:Y", "random:4", "leak:3,4"):
+            trials = draw_trials(code, spec, 7, rng)
+            whole = assert_matches_the_reference(code, recovery_for(4), 4, parse_channel(spec),
+                                                 trials)
+            with monkeypatch.context() as mp:
+                mp.setattr(verify, "TRIAL_CHUNK_AMPS", 512)  # at most two trials a chunk
+                chunked = run_recovery_trials(code, recovery_for(4), 4, parse_channel(spec),
+                                              iter(trials))
+            assert len(chunked) == len(whole)
+            for got, want in zip(chunked, whole):
+                assert abs(got.fidelity - want.fidelity) <= 1e-14
+                assert abs(got.purity - want.purity) <= 1e-14
+
+    @pytest.mark.parametrize("pos", range(6))
+    def test_stacked_w_is_the_per_label_path_on_six(self, pos):
+        code = six_qubit_logical_basis()
+        plan = recovery_for(pos)
+        assert np.array_equal(stacked_w(code, plan, pos), per_label_w(code, plan))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_stacked_w_is_the_per_label_path_on_hiding(self, n):
+        code = hiding_code(n)
+        for pos in range(2 * n):
+            plan = synthesize_recovery(code, pos)
+            assert np.array_equal(stacked_w(code, plan, pos), per_label_w(code, plan))
+
+    def test_stacked_w_matches_the_per_label_path_without_an_encoder(self):
+        rotated = locally_rotated(six_qubit_logical_basis(), np.random.default_rng(12))
+        from_file = code_from_json_dict(code_to_json_dict(rotated))
+        for code in (w_code(), from_file):
+            for pos in range(code.n_physical):
+                plan = synthesize_recovery(code, pos)
+                got, want = stacked_w(code, plan, pos), per_label_w(code, plan)
+                assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_refuses_a_plan_that_acts_on_the_damaged_site(self):
         # damage at site 0, repaired with the plan for site 3
         code = six_qubit_logical_basis()
-        messages, channels = draw_trials(code, "random:4", 3, np.random.default_rng(5))
+        channel = parse_channel("random:4")
+        trials = draw_trials(code, "random:4", 3, np.random.default_rng(5))
         with pytest.raises(ValueError, match="damaged site 0"):
-            run_recovery_trials(code, recovery_for(3), 0, messages, channels)
-        for message, channel in zip(messages, channels):
-            wrong = run_recovery_trial(code, message, ErasureEvent(0, channel), recovery_for(3))
+            run_recovery_trials(code, recovery_for(3), 0, channel, trials)
+        for amps, seed in trials:
+            event = ErasureEvent(0, channel.build(seed))
+            wrong = run_recovery_trial(code, MessageState(3, amps), event, recovery_for(3))
             assert wrong.fidelity < 1 - 1e-6
         with pytest.raises(ValueError, match="damaged site 0"):
-            run_recovery_trials(code, synthesize_recovery(code, 3), 0, messages, channels)
+            run_recovery_trials(code, synthesize_recovery(code, 3), 0, channel, trials)
 
         class Opaque:
             output_register = (3, 4, 5)
@@ -530,24 +617,31 @@ class TestBatchedTrials:
                 return state
 
         with pytest.raises(ValueError, match="cannot tell"):
-            run_recovery_trials(code, Opaque(), 0, messages, channels)
+            run_recovery_trials(code, Opaque(), 0, channel, trials)
 
     def test_rejects_messages_the_code_cannot_encode(self):
         code = w_code()
         plan = synthesize_recovery(code, 2)
-        _, channels = draw_trials(code, "random:4", 1, np.random.default_rng(0))
+        channel = parse_channel("random:4")
         with pytest.raises(ValueError, match="encodable subspace"):
-            run_recovery_trials(code, plan, 2, [MessageState.basis(3, 0)], channels)
+            run_recovery_trials(code, plan, 2, channel, [(MessageState.basis(3, 0).amps, 1)])
         with pytest.raises(ValueError, match="qubits"):
-            run_recovery_trials(code, plan, 2, [MessageState.basis(2, 0)], channels)
+            run_recovery_trials(code, plan, 2, channel, [(MessageState.basis(2, 0).amps, 1)])
+
+    @pytest.mark.parametrize("amps", [np.full(8, 0.5), np.full(8, np.nan)])
+    def test_rejects_messages_that_are_not_unit_vectors(self, amps):
+        code = six_qubit_logical_basis()
+        trials = draw_trials(code, "random:4", 2, np.random.default_rng(1)) + [(amps, 3)]
+        with pytest.raises(ValueError, match="trial 2: message norm"):
+            run_recovery_trials(code, recovery_for(0), 0, parse_channel("random:4"), trials)
 
     @pytest.mark.parametrize("damage", [scaled, with_nan])
     def test_a_channel_changed_after_construction_is_refused(self, damage):
         code = six_qubit_logical_basis()
-        messages, channels = draw_trials(code, "random:4", 4, np.random.default_rng(9))
-        channels[2].columns = damage(channels[2].columns)
+        trials = draw_trials(code, "random:4", 4, np.random.default_rng(9))
+        channel = Tampered(parse_channel("random:4"), 2, damage)
         with pytest.raises(ValueError, match="trial 2: damaged state norm"):
-            run_recovery_trials(code, recovery_for(1), 1, messages, channels)
+            run_recovery_trials(code, recovery_for(1), 1, channel, trials)
 
 
 def test_report_dataclasses():
