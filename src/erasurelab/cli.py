@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
 
 import numpy as np
 
@@ -218,22 +219,22 @@ def load_code_file(path: str) -> codes_mod.CodeSpec:
 def render_json(value) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 17 significant
     digits, two-space indentation."""
-    return _render(value, 0) + "\n"
+    return _render(value, "\n  ") + "\n"
 
 
-def _render(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _render(value, inner: str) -> str:
+    """``value`` as text; ``inner`` is a line break and the indentation of
+    the items inside it."""
     if isinstance(value, dict):
         if not value:
             return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {_render(v, indent + 1)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        rows = [f"{_quote(str(k))}: {_render(v, inner + '  ')}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(rows) + inner[:-2] + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        rows = [f"{inner}{_render(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        rows = [_render(v, inner + "  ") for v in value]
+        return "[" + inner + ("," + inner).join(rows) + inner[:-2] + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -241,7 +242,7 @@ def _render(value, indent: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -34,9 +34,12 @@ class CodeSpec:
     single-excitation code) list only the labels they support.
     ``logical_basis`` is that array, checked here, or a zero-argument
     builder of it, run and checked on the first read of ``basis``.
+    ``support`` lists, sorted and read-only, the columns of ``basis`` that
+    hold a nonzero amplitude; every other column is exactly zero.
     """
 
-    __slots__ = ("label", "n_physical", "k_logical", "message_labels", "encoder", "_basis")
+    __slots__ = ("label", "n_physical", "k_logical", "message_labels", "encoder", "_basis",
+                 "_support")
 
     def __init__(self, label, n_physical, k_logical, logical_basis, message_labels, encoder=None):
         n_physical = int(n_physical)
@@ -60,16 +63,20 @@ class CodeSpec:
             self._basis = self._checked(np.array(logical_basis, dtype=np.complex128))
 
     def _checked(self, basis: np.ndarray) -> np.ndarray:
-        """Freeze the basis once its shape, its values and its Gram matrix pass."""
+        """Freeze the basis and its support once its shape, values and Gram matrix pass."""
         want = (len(self.message_labels), 2**self.n_physical)
         if basis.shape != want:
             raise ValueError(f"logical basis has shape {basis.shape}, expected {want}")
         if not np.isfinite(basis).all():
             raise ValueError("logical basis has non-finite amplitudes")
-        dev = float(np.max(np.abs(basis.conj() @ basis.T - np.eye(len(basis)))))
+        support = np.flatnonzero(basis.any(axis=0))
+        rows = basis[:, support]  # the other columns are exactly zero
+        dev = float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(basis)))))
         if not dev <= GRAM_TOL:
             raise ValueError(f"logical basis is not orthonormal (deviation {dev:.3e})")
         basis.setflags(write=False)
+        support.setflags(write=False)
+        self._support = support
         return basis
 
     @property
@@ -77,6 +84,11 @@ class CodeSpec:
         if callable(self._basis):
             self._basis = self._checked(np.asarray(self._basis(), dtype=np.complex128))
         return self._basis
+
+    @property
+    def support(self) -> np.ndarray:
+        _ = self.basis  # a builder runs, and so sets the support, on the first read
+        return self._support
 
     @property
     def logical_basis(self) -> tuple[PureState, ...]:

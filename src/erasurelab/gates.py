@@ -7,6 +7,7 @@ first.  Controlled gates list their control sites before the target site.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -80,7 +81,9 @@ class Gate:
         return f"Gate({self.kind}, arity={self.arity})"
 
 
+@functools.cache
 def standard_gate(kind: str) -> Gate:
+    """The gate of a standard kind, built and checked once per process."""
     if kind not in _STANDARD:
         raise ValueError(f"unknown standard gate kind {kind!r}")
     matrix, arity = _STANDARD[kind]

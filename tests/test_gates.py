@@ -54,6 +54,13 @@ class TestStandardGates:
         with pytest.raises(ValueError):
             standard_gate("SWAP")
 
+    def test_each_standard_gate_is_built_once(self):
+        cnot = op("CNOT", 0, 1).gate
+        assert op("CNOT", 2, 3).gate is cnot
+        assert not cnot.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            cnot.matrix[0, 0] = 0
+
     def test_gate_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             Gate("CUSTOM", np.diag([1.0, 2.0]))

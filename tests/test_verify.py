@@ -122,6 +122,32 @@ def reference_rows(code, position):
     return kl, erasure, hiding
 
 
+def dense_overlaps(code, position):
+    """sector_overlaps over the whole rest space, split with moveaxis: the
+    dense product the support path must reproduce."""
+    n = code.n_physical
+    basis = code.basis.reshape((-1,) + (2,) * n)
+    sectors = np.moveaxis(basis, position + 1, 1).reshape(2 * len(basis), -1)
+    n_logical = len(basis)
+    return (sectors.conj() @ sectors.T).reshape(n_logical, 2, n_logical, 2)
+
+
+def reference_kl_row(name, overlaps, ops, tolerance):
+    """The certificate rows before they became one matmul over flat stacks:
+    the oracle for their bits."""
+    m = np.tensordot(ops, overlaps, axes=([1, 2], [1, 3]))
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    off = m * (1 - np.eye(m.shape[-1]))
+    spread = diag[..., :, None] - diag[..., None, :]
+    worst = float(np.maximum(np.max(np.abs(off)), np.max(np.abs(spread))))
+    return CheckResult(name, worst <= tolerance, worst)
+
+
+def reference_block_deviation(overlaps, g):
+    blocks = np.einsum("ij,ab->iajb", np.eye(overlaps.shape[0]), g)
+    return float(np.max(np.abs(overlaps - blocks)))
+
+
 @st.composite
 def small_codes(draw):
     seed = draw(st.integers(0, 2**32 - 1))
@@ -275,6 +301,69 @@ class TestSectorOverlaps:
     def test_position_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             sector_overlaps(six_qubit_logical_basis(), 6)
+
+
+class TestSupport:
+    """The certificate runs on the code's support; the dense split is its oracle."""
+
+    @pytest.mark.parametrize(
+        "code", [six_qubit_logical_basis(), w_code()] + [hiding_code(n) for n in range(1, 8)],
+        ids=lambda c: c.label,
+    )
+    def test_overlaps_and_verdicts_match_the_dense_product(self, monkeypatch, code):
+        dense = [dense_overlaps(code, p) for p in range(code.n_physical)]
+        for p, want in enumerate(dense):
+            assert np.max(np.abs(sector_overlaps(code, p) - want)) <= 1e-15
+        report = certify(code)
+        monkeypatch.setattr(verify, "sector_overlaps", lambda code, p: dense[p])
+        reference = certify(code)
+        assert [(c.name, c.passed) for c in report.checks] == [
+            (c.name, c.passed) for c in reference.checks
+        ]
+        for got, want in zip(report.checks, reference.checks):
+            assert abs(got.worst_deviation - want.worst_deviation) <= 1e-15
+
+    @pytest.mark.parametrize("code, size", [
+        (six_qubit_logical_basis(), 16),  # 2^(n+1) for two GHZ blocks of n = 3
+        (w_code(), 6),
+        (hiding_code(4), 32),
+    ], ids=["six", "w5", "hiding-4"])
+    def test_support_is_every_nonzero_column(self, code, size):
+        nonzero = np.flatnonzero(np.abs(code.basis).sum(axis=0))
+        np.testing.assert_array_equal(code.support, nonzero)
+        assert len(code.support) == size
+        assert not code.support.flags.writeable
+
+    def test_full_support_takes_every_rest_index_in_order(self):
+        rng = np.random.default_rng(7)
+        code = locally_rotated(six_qubit_logical_basis(), rng)
+        assert len(code.support) == 64
+        for p in range(6):
+            np.testing.assert_array_equal(sector_overlaps(code, p), dense_overlaps(code, p))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_codes())
+    def test_rows_are_bit_identical_to_the_reference_rows(self, code):
+        half = np.eye(2) / 2
+        for p in range(code.n_physical):
+            overlaps = sector_overlaps(code, p)
+            for ops in (verify.PAULI_PRODUCTS, verify.PAULIS):
+                got = verify._kl_row("row", overlaps, ops, 1e-10)
+                assert got == reference_kl_row("row", overlaps, ops, 1e-10)
+            assert (verify._block_deviation(overlaps, half)
+                    == reference_block_deviation(overlaps, half))
+
+    @pytest.mark.parametrize("at", [(0, 0, 0, 0), (0, 0, 1, 1), (2, 1, 5, 0)])
+    def test_non_finite_overlaps_give_nan_rows(self, at):
+        overlaps = sector_overlaps(six_qubit_logical_basis(), 0).copy()
+        overlaps[at] = np.nan
+        for ops in (verify.PAULI_PRODUCTS, verify.PAULIS):
+            assert np.isnan(verify._kl_row("row", overlaps, ops, 1e-10).worst_deviation)
+        assert np.isnan(verify._block_deviation(overlaps, np.eye(2) / 2))
+
+    def test_pauli_products_are_a_frozen_constant(self):
+        np.testing.assert_array_equal(verify.PAULI_PRODUCTS, verify._pair_products(verify.PAULIS))
+        assert not verify.PAULI_PRODUCTS.flags.writeable
 
 
 class TestSynthesis:
