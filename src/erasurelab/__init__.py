@@ -50,7 +50,6 @@ from .verify import (
     CheckResult,
     ErrorOperatorSet,
     RecoverySynthesisError,
-    SynthesizedRecovery,
     TrialResult,
     VerificationReport,
     certify,
@@ -80,7 +79,6 @@ __all__ = [
     "RecoveryPlan",
     "RecoverySynthesisError",
     "SiteDims",
-    "SynthesizedRecovery",
     "TrialResult",
     "VerificationReport",
     "apply_circuit",

@@ -280,7 +280,7 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
             f"position {config.bad_position} out of range for {code.n_physical} sites"
         )
     config.channel.check_size(code.n_physical)
-    if config.code == "six" and config.code_file is None:
+    if config.code == "six":
         plan = codes_mod.recovery_for(config.bad_position)
     else:
         try:

@@ -99,26 +99,28 @@ class CodeSpec:
     def dims(self) -> SiteDims:
         return SiteDims.qubits(self.n_physical)
 
-    def _check_support(self, message: MessageState) -> None:
-        if message.n != self.k_logical:
-            raise ValueError(f"message has {message.n} qubits, code expects {self.k_logical}")
-        supported = set(self.message_labels)
-        stray = [
-            i for i, a in enumerate(message.amps) if i not in supported and abs(a) > SUPPORT_TOL
-        ]
-        if stray:
-            raise ValueError(f"message has weight outside the encodable subspace at {stray}")
+    def _check_support(self, amps: np.ndarray) -> None:
+        """Refuse message amplitude rows (any leading axes) that are not over
+        the code's k qubits or that have weight outside the encodable subspace."""
+        if amps.shape[-1] != 2**self.k_logical:
+            raise ValueError(f"message has {amps.shape[-1]} amplitudes, not the "
+                             f"{2**self.k_logical} of the code's {self.k_logical} qubits")
+        stray = np.abs(amps.reshape(-1, amps.shape[-1])) > SUPPORT_TOL
+        stray[:, list(self.message_labels)] = False
+        if stray.any():
+            raise ValueError("message has weight outside the encodable subspace at "
+                             f"{np.flatnonzero(stray.any(axis=0)).tolist()}")
 
     def logical_combination(self, message: MessageState) -> PureState:
         """Encode by expanding the message directly in the logical basis."""
-        self._check_support(message)
+        self._check_support(message.amps)
         return PureState(self.dims, message.amps[list(self.message_labels)] @ self.basis)
 
     def encode(self, message: MessageState) -> PureState:
         """Encode through the encoding circuit when one exists, else the basis."""
         if self.encoder is None:
             return self.logical_combination(message)
-        self._check_support(message)
+        self._check_support(message.amps)
         return apply_circuit(PureState(self.dims, self._padded(message.amps)), self.encoder)
 
     def encoded_labels(self) -> np.ndarray:

@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 # apply_local_operator is re-exported: perfbench's tracer test patches the name here
-from .states import PureState, SiteDims, _contract, apply_local_operator  # noqa: F401
+from .states import (PureState, SiteDims, _contract, apply_local_operator,  # noqa: F401
+                     orthonormality_deviation)
 
 GATE_UNITARITY_TOL = 1e-12
 
@@ -57,7 +58,7 @@ class Gate:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"gate matrix must be square, got shape {matrix.shape}")
         side = matrix.shape[0]
-        dev = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(side))))
+        dev = orthonormality_deviation(matrix)
         if not dev <= GATE_UNITARITY_TOL:
             raise ValueError(f"gate matrix is not unitary (deviation {dev:.3e})")
         if arity is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gates import PAULI_BY_KIND, haar_unitary
-from .states import PureState
+from .states import PureState, orthonormality_deviation
 
 ISOMETRY_TOL = 1e-12
 DEFAULT_ENV_DIM = 4
@@ -39,7 +39,7 @@ class DecoherenceIsometry:
                 f"columns shape {columns.shape} does not match "
                 f"({qubit_out_dim * env_dim}, 2)"
             )
-        dev = float(np.max(np.abs(columns.conj().T @ columns - np.eye(2))))
+        dev = orthonormality_deviation(columns)
         if not dev <= ISOMETRY_TOL:
             raise ValueError(f"columns are not an isometry (deviation {dev:.3e})")
         self.env_dim = env_dim

@@ -219,6 +219,14 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     return PureState(dims, np.kron(a.amps, b.amps))
 
 
+def orthonormality_deviation(matrix: np.ndarray) -> float:
+    """max |M^H M - I|: how far the columns of M are from orthonormal (for a
+    square M, from unitary).  NaN anywhere gives NaN."""
+    gram = matrix.conj().T @ matrix
+    gram.flat[:: len(gram) + 1] -= 1  # in place: no identity and no difference array
+    return float(np.max(np.abs(gram)))
+
+
 def _contract(amps: np.ndarray, dims: tuple[int, ...], op: np.ndarray, targets) -> np.ndarray:
     """Apply ``op`` to the ``targets`` of a flat amplitude vector over ``dims``,
     or of each row of a stack of them (leading axes), and return the new
@@ -253,7 +261,7 @@ def apply_local_operator(state: PureState, op, targets) -> PureState:
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (side, side):
         raise ValueError(f"operator shape {op.shape} does not match target dimension {side}")
-    dev = float(np.max(np.abs(op.conj().T @ op - np.eye(side))))
+    dev = orthonormality_deviation(op)
     if not dev <= OPERATOR_UNITARITY_TOL:
         raise ValueError(f"operator is not unitary (deviation {dev:.3e})")
     return PureState(state.dims, _contract(state.amps, state.dims.dims, op, targets))

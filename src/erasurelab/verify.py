@@ -9,7 +9,9 @@ Three families of checks live here:
   runs all three at every site), computed on the code's support only:
   about 0.25 s on hiding:7 and 1.4 s on hiding:8 (one core, one BLAS thread),
 * numerical synthesis of a recovery unitary from the same tensor, which
-  refuses whenever the code cannot correct the erasure,
+  refuses whenever the code cannot correct the erasure; the decoder is a
+  ``RecoveryPlan`` whose decode circuit is one ``CUSTOM`` gate on the
+  intact sites,
 * seeded checks through the encoder: sampled marginals of random messages,
   and encode / damage / repair trials measured by fidelity and purity, one
   trial at a time (``run_recovery_trial``) or stacked
@@ -19,15 +21,15 @@ Three families of checks live here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import SUPPORT_TOL, CodeSpec, RecoveryPlan
-from .gates import PAULI_BY_KIND
+from .codes import CodeSpec, RecoveryPlan
+from .gates import GATE_UNITARITY_TOL, PAULI_BY_KIND, Circuit, CircuitOp, custom_gate
 from .noise import ErasureEvent, apply_erasure
 from .states import (DEFAULT_DIMENSION_CAP, EIGENVALUE_FLOOR, HERMITICITY_TOL, NORM_TOL,
-                     TRACE_TOL, MessageState, PureState, _contract, fidelity_with_pure,
+                     TRACE_TOL, MessageState, fidelity_with_pure, orthonormality_deviation,
                      partial_trace)
 
 DEFAULT_TOLERANCE = 1e-10
@@ -215,29 +217,6 @@ def certify(code: CodeSpec, tolerance: float = DEFAULT_TOLERANCE) -> Verificatio
     return VerificationReport(checks=tuple(kl + erasure + hiding), tolerance=tolerance)
 
 
-@dataclass(frozen=True)
-class SynthesizedRecovery:
-    """Recovery unitary acting on every site except the damaged one."""
-
-    position: int
-    rest_sites: tuple[int, ...]
-    junk_sites: tuple[int, ...]
-    output_register: tuple[int, ...]
-    unitary: np.ndarray = field(repr=False)
-    gram: np.ndarray = field(repr=False)
-    worst_gram_deviation: float = 0.0
-
-    def apply(self, state: PureState) -> PureState:
-        return PureState(state.dims, self.apply_rows(state.amps, state.dims.dims))
-
-    def apply_rows(self, amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-        """``apply`` on a flat amplitude vector over ``dims`` or a stack of them."""
-        if any(s >= len(dims) or dims[s] != 2 for s in self.rest_sites):
-            raise ValueError(f"sites {self.rest_sites} are not all intact qubits of {dims}")
-        # synthesize_recovery checked unitarity once and froze the matrix
-        return _contract(amps, dims, self.unitary, self.rest_sites)
-
-
 def _complete_orthonormal_basis(cols: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full square unitary: the trailing
     left singular vectors span the orthogonal complement of the columns."""
@@ -250,14 +229,18 @@ def synthesize_recovery(
     position: int,
     output_register=None,
     tolerance: float = DEFAULT_TOLERANCE,
-) -> SynthesizedRecovery:
+) -> RecoveryPlan:
     """Build an erasure decoder directly from the logical basis.
 
     Splitting each logical state |i> = sum_k |k>_position x w_ik, the code
     corrects the erasure exactly when <w_ik|w_jk'> = delta_ij g_kk' with a
     common 2x2 overlap matrix g.  The synthesized unitary rotates the
     orthonormalized sectors onto junk-register states tensor the message
-    basis.  Raises RecoverySynthesisError when the overlap structure fails.
+    basis.  It is returned as a RecoveryPlan whose decode circuit is one
+    CUSTOM gate on the intact sites and whose recover circuit is empty.
+    Raises RecoverySynthesisError when the overlap structure fails, or when
+    the orthonormalized sectors, or the decoder completed from them, are not
+    orthonormal to GATE_UNITARITY_TOL.
     """
     rest = tuple(s for s in range(code.n_physical) if s != position)
     rest_dim = 2 ** len(rest)
@@ -290,63 +273,48 @@ def synthesize_recovery(
     if output_register is None:
         output_register = rest[-k:]
     output_register = tuple(int(s) for s in output_register)
-    if len(output_register) != k or len(set(output_register)) != k:
-        raise ValueError(f"output register must be {k} distinct sites")
-    if any(s not in rest for s in output_register):
-        raise ValueError("output register must avoid the damaged site")
+    if len(output_register) != k or len(set(output_register) & set(rest)) != k:
+        raise ValueError(f"output register must be {k} distinct sites other than {position}")
     junk = tuple(s for s in rest if s not in output_register)
     if 2 ** len(junk) < rank:
         raise ValueError(
             f"junk register of {len(junk)} sites cannot index {rank} overlap sectors"
         )
 
-    rest_axis = {site: axis for axis, site in enumerate(rest)}
-
-    def basis_index(label: int, junk_label: int) -> int:
-        idx = 0
-        for pos_in_reg, site in enumerate(output_register):
-            bit = (label >> (k - 1 - pos_in_reg)) & 1
-            idx |= bit << (len(rest) - 1 - rest_axis[site])
-        for pos_in_reg, site in enumerate(junk):
-            bit = (junk_label >> (len(junk) - 1 - pos_in_reg)) & 1
-            idx |= bit << (len(rest) - 1 - rest_axis[site])
-        return idx
+    # the rest index of (junk label m, message label j): the rest axes with
+    # the junk sites first, then the output register, each most significant first
+    axes = [rest.index(s) for s in junk + output_register]
+    index = np.arange(rest_dim).reshape((2,) * len(rest)).transpose(axes).reshape(-1, 2**k)
+    target_idx = index[:rank, list(code.message_labels)].reshape(-1)
 
     source_cols = []
-    target_idx = []
     for m in range(rank):
         for j in range(n_logical):
             w = np.tensordot(vecs[:, m].conj(), sectors[j], axes=([0], [0]))
             source_cols.append(w / np.linalg.norm(w))
-            target_idx.append(basis_index(code.message_labels[j], m))
     source = np.stack(source_cols, axis=1)
-    ortho_dev = float(np.max(np.abs(source.conj().T @ source - np.eye(source.shape[1]))))
-    if not ortho_dev <= 1e-8:
+    ortho_dev = orthonormality_deviation(source)
+    if not ortho_dev <= GATE_UNITARITY_TOL:
         raise RecoverySynthesisError(
             f"orthonormalized sectors drifted (deviation {ortho_dev:.3e})", ortho_dev
         )
 
     full_source = _complete_orthonormal_basis(source)
-    used = set(target_idx)
-    order = target_idx + [i for i in range(rest_dim) if i not in used]
+    free = np.ones(rest_dim, dtype=bool)
+    free[target_idx] = False
+    order = np.concatenate([target_idx, np.flatnonzero(free)])  # the unused rows, ascending
     # the permutation sending column c to row order[c], times full_source^H:
     # row order[c] of the product is row c of full_source^H
     unitary = np.empty((rest_dim, rest_dim), dtype=np.complex128)
     unitary[order] = full_source.conj().T
-    unitary_dev = float(np.max(np.abs(unitary.conj().T @ unitary - np.eye(rest_dim))))
-    if not unitary_dev <= 1e-10:
-        raise RuntimeError(f"synthesized map is not unitary (deviation {unitary_dev:.3e})")
-    unitary.setflags(write=False)
-
-    return SynthesizedRecovery(
-        position=position,
-        rest_sites=rest,
-        junk_sites=junk,
-        output_register=output_register,
-        unitary=unitary,
-        gram=gram,
-        worst_gram_deviation=worst,
-    )
+    del full_source, sectors  # freed before the gate copies the matrix: recover's peak memory
+    try:  # the one unitarity check, at GATE_UNITARITY_TOL
+        gate = custom_gate(unitary)
+    except ValueError as exc:  # completing the sources can lose a little orthonormality
+        raise RecoverySynthesisError(f"synthesized decoder refused: {exc}",
+                                     orthonormality_deviation(unitary)) from exc
+    decode = Circuit([CircuitOp(gate, rest)], code.dims)
+    return RecoveryPlan(position, decode, Circuit((), code.dims), output_register)
 
 
 def check_hiding(
@@ -357,6 +325,8 @@ def check_hiding(
 ) -> VerificationReport:
     """Encode seeded random messages and compare every single-site marginal
     against the maximally mixed state."""
+    if trials < 1:
+        raise ValueError(f"check_hiding needs at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     n = code.n_physical
     worst = np.zeros(n)
@@ -385,10 +355,10 @@ def run_recovery_trial(
 ) -> TrialResult:
     """Encode, damage one site, run the plan, and score the output register.
 
-    ``plan`` may be a circuit-based RecoveryPlan or a SynthesizedRecovery;
-    it only needs ``apply`` and ``output_register``.  Returns the fidelity
-    of the reduced output-register state against the original message and
-    its purity (1 means the register fully disentangled).
+    ``plan`` needs only ``apply`` and ``output_register``, as a
+    ``RecoveryPlan`` has.  Returns the fidelity of the reduced
+    output-register state against the original message and its purity (1
+    means the register fully disentangled).
     """
     encoded = code.encode(message)
     damaged = apply_erasure(encoded, event)
@@ -398,14 +368,6 @@ def run_recovery_trial(
         fidelity=fidelity_with_pure(rho, message.as_state()),
         purity=rho.purity(),
     )
-
-
-def _leaves_site(plan, position: int) -> bool:
-    if isinstance(plan, RecoveryPlan):
-        return plan.bad_position == position  # its circuits never touch that site
-    if isinstance(plan, SynthesizedRecovery):
-        return position not in plan.rest_sites
-    raise ValueError(f"cannot tell which sites {plan!r} acts on")
 
 
 def run_recovery_trials(code: CodeSpec, plan, position: int, channel, trials
@@ -428,14 +390,15 @@ def run_recovery_trials(code: CodeSpec, plan, position: int, channel, trials
     channels are built from (one trial, if a single trial is larger); every
     trial gets the checks that ``MessageState``, ``PureState`` and
     ``DensityMatrix`` make.  Raises ValueError when the plan may act on
-    ``position``, or when a check fails.
+    ``position`` (anything but a ``RecoveryPlan`` for that site), or when a
+    check fails.
     """
     n, k = code.n_physical, code.k_logical
     if not 0 <= position < n:
         raise ValueError(f"position {position} out of range for {n} sites")
-    if not _leaves_site(plan, position):
-        raise ValueError(f"{plan!r} acts on the damaged site {position}, so it does not "
-                         "commute with the channel there")
+    if not (isinstance(plan, RecoveryPlan) and plan.bad_position == position):
+        raise ValueError(f"{plan!r} is not a RecoveryPlan for the damaged site {position}, so "
+                         "it may not commute with the channel there")
     output = tuple(plan.output_register)
     if len(output) != k:
         raise ValueError(f"output register {output} does not hold {k} message qubits")
@@ -464,8 +427,7 @@ def _message_stack(code, rows, first) -> np.ndarray:
     norm = np.linalg.norm(msgs, axis=1)
     _require(np.abs(norm - 1.0) <= NORM_TOL, first,
              lambda i: f"message norm {norm[i]!r} differs from 1 by more than {NORM_TOL}")
-    if np.any(np.abs(np.delete(msgs, list(code.message_labels), axis=1)) > SUPPORT_TOL):
-        raise ValueError("a message has weight outside the encodable subspace")
+    code._check_support(msgs)
     return msgs
 
 

@@ -23,6 +23,7 @@ from test_verify import (dense_overlaps, leaky_hiding_code, reference_block_devi
 
 # the benchmark's command grids, imported from its own directory
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -702,3 +703,19 @@ class TestBasisBuiltOnlyWhenRead:
         assert main(argv) == 0
         capsys.readouterr()
         assert len(checked) == builds
+
+
+class TestBenchmarkView:
+    """The benchmark traces the library by name and checks it through the
+    public API; a name it cannot find reads as a wrong result, not a skip."""
+
+    def test_every_traced_name_exists(self):
+        tracer = spans.Tracer()
+        try:
+            assert tracer.install() == []
+        finally:
+            tracer.uninstall()
+        assert not hasattr(verify.synthesize_recovery, "__wrapped__")  # restored
+
+    def test_library_checks_pass(self):
+        assert workloads.library_checks(1) == []

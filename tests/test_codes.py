@@ -266,6 +266,20 @@ class TestWCode:
         with pytest.raises(ValueError):
             code.logical_combination(MessageState(3, bad))
 
+    def test_one_support_check_for_a_message_or_a_stack(self):
+        code = w_code()
+        rows = np.zeros((2, 3, 8), dtype=np.complex128)
+        rows[..., 1] = 1.0
+        code._check_support(rows)  # any leading axes
+        rows[1, 2, 6] = 1e-11
+        rows[0, 0, 0] = 2e-12
+        with pytest.raises(ValueError, match=r"encodable subspace at \[0, 6\]"):
+            code._check_support(rows)
+        rows[0, 0, 0] = rows[1, 2, 6] = 1e-12  # at SUPPORT_TOL, still supported
+        code._check_support(rows)
+        with pytest.raises(ValueError, match="3 qubits"):
+            code._check_support(np.ones(4))
+
 
 class TestHidingFamily:
     def test_n2_basis_input_literal(self):

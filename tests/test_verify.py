@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erasurelab import verify
+from erasurelab import gates, verify
 from erasurelab.cli import code_from_json_dict, code_to_json_dict, parse_channel
 from erasurelab.codes import (
     CodeSpec,
+    RecoveryPlan,
     hiding_code,
     recovery_for,
     six_qubit_logical_basis,
@@ -21,7 +22,7 @@ from erasurelab.noise import (
     pauli_error,
     random_decoherence,
 )
-from erasurelab.gates import PAULI_BY_KIND, haar_unitary
+from erasurelab.gates import GATE_UNITARITY_TOL, PAULI_BY_KIND, haar_unitary
 from erasurelab.states import MessageState, PureState, apply_local_operator, partial_trace
 from erasurelab.verify import (
     CheckResult,
@@ -70,6 +71,17 @@ def leaky_hiding_code():
     leaky = basis[0] + 5e-10 * z0
     basis[0] = leaky / np.linalg.norm(leaky)
     return CodeSpec("leaky-hiding-5", 10, 5, basis, code.message_labels)
+
+
+def nudged_six_qubit_code(nudge):
+    """The six-qubit basis with row 0 moved by ``nudge`` along a fixed unit
+    direction, then re-orthonormalized (QR of the rows)."""
+    basis = np.array(six_qubit_logical_basis().basis)
+    rng = np.random.default_rng(0)
+    direction = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    basis[0] += nudge * direction / np.linalg.norm(direction)
+    q, _ = np.linalg.qr(basis.T)
+    return CodeSpec("nudged-six", 6, 3, q.T, range(8))
 
 
 def code_from_rows(rows, label="rows"):
@@ -372,7 +384,7 @@ class TestSynthesis:
         rng = np.random.default_rng(1001)
         for pos in (0, 4):
             syn = synthesize_recovery(code, pos)
-            assert syn.worst_gram_deviation <= 1e-10
+            assert isinstance(syn, RecoveryPlan) and syn.bad_position == pos
             for trial in range(4):
                 msg = code.random_message(rng)
                 event = ErasureEvent(pos, random_decoherence(500 + trial))
@@ -384,8 +396,10 @@ class TestSynthesis:
         # erasure correctability with a maximally mixed site marginal means
         # the sector overlap matrix must be I/2 exactly
         for code in (six_qubit_logical_basis(), hiding_code(2)):
-            syn = synthesize_recovery(code, 0)
-            np.testing.assert_allclose(syn.gram, np.eye(2) / 2, atol=1e-12)
+            overlaps = sector_overlaps(code, 0)
+            diagonal = np.arange(len(overlaps))
+            gram = overlaps[diagonal, :, diagonal, :].mean(axis=0)  # as the synthesis takes it
+            np.testing.assert_allclose(gram, np.eye(2) / 2, atol=1e-12)
 
     def test_matches_the_circuit_plan_on_reduced_states(self):
         code = six_qubit_logical_basis()
@@ -433,6 +447,26 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             synthesize_recovery(code, 6)
 
+    @pytest.mark.parametrize("nudge", [1e-7, 1e-9])
+    def test_a_nudged_basis_is_refused_as_a_synthesis_error(self, nudge):
+        # the overlap structure holds to 1e-6; the orthonormalized sectors do
+        # not hold to the gate tolerance, and that is a refusal too
+        code = nudged_six_qubit_code(nudge)
+        assert check_erasure_kl(code, 0, tolerance=1e-6).passed
+        with pytest.raises(RecoverySynthesisError, match="drifted") as exc_info:
+            synthesize_recovery(code, 0, tolerance=1e-6)
+        assert exc_info.value.worst_deviation > GATE_UNITARITY_TOL
+
+    def test_a_decoder_the_gate_refuses_is_a_synthesis_error(self, monkeypatch):
+        # completing the sources to a square matrix can lose a little of their
+        # orthonormality; the gate's check then refuses the decoder
+        code = nudged_six_qubit_code(1e-13)
+        synthesize_recovery(code, 0, tolerance=1e-6)
+        monkeypatch.setattr(gates, "GATE_UNITARITY_TOL", 0.0)
+        with pytest.raises(RecoverySynthesisError, match="not unitary") as exc_info:
+            synthesize_recovery(code, 0, tolerance=1e-6)
+        assert exc_info.value.worst_deviation > 0.0
+
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setattr(verify, "SYNTHESIS_DIM_CAP", 16)
         with pytest.raises(ValueError, match="cap"):
@@ -440,12 +474,13 @@ class TestSynthesis:
 
     def test_unitary_output(self):
         syn = synthesize_recovery(w_code(), 2)
-        u = syn.unitary
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(16), atol=1e-10)
-        assert not u.flags.writeable  # apply() relies on the one check at synthesis
-        assert syn.rest_sites == (0, 1, 3, 4)
-        assert syn.output_register == (1, 3, 4)
-        assert syn.junk_sites == (0,)
+        (decoder,) = syn.decode.ops
+        assert decoder.gate.kind == "CUSTOM" and decoder.targets == (0, 1, 3, 4)
+        assert len(syn.recover) == 0
+        u = decoder.gate.matrix
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(16), atol=1e-12)
+        assert not u.flags.writeable  # apply() relies on the one check at Gate construction
+        assert syn.output_register == (1, 3, 4)  # the junk register is site 0
 
     @pytest.mark.parametrize("name", ["w5", "hiding:2", "hiding:3", "hiding:4", "hiding:5"])
     def test_unitary_is_the_dense_permutation_product(self, monkeypatch, name):
@@ -459,7 +494,7 @@ class TestSynthesis:
 
         monkeypatch.setattr(verify, "_complete_orthonormal_basis", keep)
         for pos in range(code.n_physical):
-            unitary = synthesize_recovery(code, pos).unitary
+            unitary = synthesize_recovery(code, pos).decode.ops[0].gate.matrix
             source = sources[-1]
             # unitary = P source^H for a permutation P, read back off the result
             perm = np.rint(np.abs(unitary @ source))
@@ -471,15 +506,15 @@ class TestSynthesis:
     def test_apply_matches_the_validated_path_and_checks_its_sites(self):
         code = w_code()
         syn = synthesize_recovery(code, 2)
+        (decoder,) = syn.decode.ops
         state = PureState(code.dims, code.basis[1])
         hit = apply_erasure(state, ErasureEvent(2, leakage_decoherence(3, 3)))
-        np.testing.assert_array_equal(
-            syn.apply(hit).amps, apply_local_operator(hit, syn.unitary, syn.rest_sites).amps
-        )
+        reference = apply_local_operator(hit, decoder.gate.matrix, decoder.targets)
+        np.testing.assert_array_equal(syn.apply(hit).amps, reference.amps)
         leaked_rest = apply_erasure(state, ErasureEvent(1, leakage_decoherence(3, 3)))
-        with pytest.raises(ValueError, match="intact qubits"):
+        with pytest.raises(ValueError, match="does not fit the state register"):
             syn.apply(leaked_rest)
-        with pytest.raises(ValueError, match="intact qubits"):
+        with pytest.raises(ValueError, match="does not fit the state register"):
             syn.apply(PureState.basis_state((2, 2, 2), 0))
 
 
@@ -503,6 +538,11 @@ class TestHidingCheck:
         assert not report.passed
         by_name = {c.name: c for c in report.checks}
         assert by_name["hiding_site3"].worst_deviation >= 0.5 - 1e-12
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_refuses_to_pass_on_no_samples(self, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            check_hiding(bare_three_qubit_code(), trials=trials)
 
     def test_reports_are_reproducible(self):
         a = check_hiding(six_qubit_logical_basis(), trials=4, seed=11)
@@ -705,15 +745,17 @@ class TestBatchedTrials:
             def apply(self, state):
                 return state
 
-        with pytest.raises(ValueError, match="cannot tell"):
+        with pytest.raises(ValueError, match="not a RecoveryPlan for the damaged site 0"):
             run_recovery_trials(code, Opaque(), 0, channel, trials)
 
     def test_rejects_messages_the_code_cannot_encode(self):
         code = w_code()
         plan = synthesize_recovery(code, 2)
         channel = parse_channel("random:4")
-        with pytest.raises(ValueError, match="encodable subspace"):
+        with pytest.raises(ValueError, match=r"encodable subspace at \[0\]"):
             run_recovery_trials(code, plan, 2, channel, [(MessageState.basis(3, 0).amps, 1)])
+        with pytest.raises(ValueError, match=r"encodable subspace at \[0\]"):
+            code.encode(MessageState.basis(3, 0))
         with pytest.raises(ValueError, match="qubits"):
             run_recovery_trials(code, plan, 2, channel, [(MessageState.basis(2, 0).amps, 1)])
 
