@@ -157,8 +157,7 @@ def decoherence_columns(
             leak_block = haar_unitary(leak_levels, [g for g, x in zip(rngs, leaky) if x])
             columns[leaky, 2 * env_dim :] = (np.sqrt(weights[leaky])[:, None, None]
                                              * leak_block[..., :2])
-    gram = columns.conj().transpose(0, 2, 1) @ columns
-    dev = float(np.max(np.abs(gram - np.eye(2))))
+    dev = orthonormality_deviation(columns)
     if not dev <= ISOMETRY_TOL:
         raise ValueError(f"columns are not an isometry (deviation {dev:.3e})")
     return columns

@@ -221,9 +221,11 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
 
 def orthonormality_deviation(matrix: np.ndarray) -> float:
     """max |M^H M - I|: how far the columns of M are from orthonormal (for a
-    square M, from unitary).  NaN anywhere gives NaN."""
-    gram = matrix.conj().T @ matrix
-    gram.flat[:: len(gram) + 1] -= 1  # in place: no identity and no difference array
+    square M, from unitary), over every matrix of a stack with leading axes.
+    NaN anywhere gives NaN."""
+    gram = matrix.conj().swapaxes(-1, -2) @ matrix
+    # in place on the fresh product: no identity and no difference array
+    gram.reshape(gram.shape[:-2] + (-1,))[..., :: gram.shape[-1] + 1] -= 1
     return float(np.max(np.abs(gram)))
 
 

@@ -101,6 +101,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "cannot read code file" in err
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not-utf8", "deeply-nested"])
+    def test_undecodable_code_file_is_a_bad_configuration(self, capsys, tmp_path, raw):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, "verify", "--code-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read code file") and err.count("\n") == 1
+
     @pytest.mark.parametrize("part", [0, 1])
     def test_non_finite_amplitude_is_a_bad_configuration(self, capsys, tmp_path, part):
         doc = code_to_json_dict(six_qubit_logical_basis())

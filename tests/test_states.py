@@ -11,6 +11,7 @@ from erasurelab.states import (
     SiteDims,
     apply_local_operator,
     fidelity_with_pure,
+    orthonormality_deviation,
     partial_trace,
     tensor_product,
 )
@@ -250,3 +251,13 @@ def test_message_state():
         MessageState(1, [1.0, 1.0])
     r = MessageState.random(2, np.random.default_rng(9))
     assert abs(np.linalg.norm(r.amps) - 1.0) <= 1e-12
+
+
+def test_orthonormality_deviation_of_a_stack_is_its_worst_matrix():
+    rng = np.random.default_rng(5)
+    stack = np.linalg.qr(rng.standard_normal((4, 6, 2)))[0]
+    stack[2] *= 1.0 + 1e-6
+    assert orthonormality_deviation(stack) == max(orthonormality_deviation(m) for m in stack)
+    assert orthonormality_deviation(stack[:2]) <= 1e-14
+    stack[3, 0, 1] = np.nan
+    assert math.isnan(orthonormality_deviation(stack))

@@ -359,7 +359,7 @@ class TestSupport:
         half = np.eye(2) / 2
         for p in range(code.n_physical):
             overlaps = sector_overlaps(code, p)
-            for ops in (verify.PAULI_PRODUCTS, verify.PAULIS):
+            for ops in (verify._pair_products(verify.PAULIS), verify.PAULIS):
                 got = verify._kl_row("row", overlaps, ops, 1e-10)
                 assert got == reference_kl_row("row", overlaps, ops, 1e-10)
             assert (verify._block_deviation(overlaps, half)
@@ -369,13 +369,23 @@ class TestSupport:
     def test_non_finite_overlaps_give_nan_rows(self, at):
         overlaps = sector_overlaps(six_qubit_logical_basis(), 0).copy()
         overlaps[at] = np.nan
-        for ops in (verify.PAULI_PRODUCTS, verify.PAULIS):
+        for ops in (verify._pair_products(verify.PAULIS), verify.PAULIS):
             assert np.isnan(verify._kl_row("row", overlaps, ops, 1e-10).worst_deviation)
         assert np.isnan(verify._block_deviation(overlaps, np.eye(2) / 2))
 
-    def test_pauli_products_are_a_frozen_constant(self):
-        np.testing.assert_array_equal(verify.PAULI_PRODUCTS, verify._pair_products(verify.PAULIS))
-        assert not verify.PAULI_PRODUCTS.flags.writeable
+    @pytest.mark.parametrize("code", [six_qubit_logical_basis(), hiding_code(4)],
+                             ids=lambda c: c.label)
+    def test_certify_contracts_each_site_once(self, code, monkeypatch):
+        calls, real = [], verify._kl_row
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_kl_row", counted)
+        report = certify(code)
+        assert calls == [f"erasure_kl_pos{p}" for p in range(code.n_physical)]
+        assert report.passed
 
 
 class TestSynthesis:
@@ -543,6 +553,12 @@ class TestHidingCheck:
     def test_refuses_to_pass_on_no_samples(self, trials):
         with pytest.raises(ValueError, match="at least one trial"):
             check_hiding(bare_three_qubit_code(), trials=trials)
+
+    def test_marginal_deviations_are_each_sites_distance_from_half(self):
+        state = PureState.basis_state((2, 2, 2), 0b010)  # |010>: every marginal is pure
+        np.testing.assert_array_equal(verify.marginal_deviations(state), [0.5, 0.5, 0.5])
+        ghz = six_qubit_logical_basis().encode(MessageState.basis(3, 5))
+        assert np.max(verify.marginal_deviations(ghz)) <= 1e-15
 
     def test_reports_are_reproducible(self):
         a = check_hiding(six_qubit_logical_basis(), trials=4, seed=11)
