@@ -7,8 +7,10 @@ shares and puts it back together.
 
 Reports are JSON with a fixed field order and floats printed with 17
 significant digits, so identical configurations produce byte-identical
-output.  Exit status: 0 all checks passed, 1 a check or fidelity target
-failed, 2 bad configuration.
+output.  A measured row passes iff its ``worst_deviation`` is at most the
+tolerance (1 - value for the fidelity and purity rows; NaN fails);
+``decoder_synthesis`` is a refusal row, never a pass.  Exit status: 0
+every row passed, 1 a row failed, 2 bad configuration.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from . import noise, verify
 from .gates import apply_circuit, invert_circuit
 from .states import (DEFAULT_DIMENSION_CAP, MessageState, SiteDims,
                      fidelity_with_pure, partial_trace)
-from .verify import DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS
+from .verify import (DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS, CheckResult,
+                     TrialResult)
 
 SEED_ENV_VAR = "ERASURELAB_SEED"
 
@@ -248,27 +251,26 @@ def _render(value, inner: str) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _meta(config: RunConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "code": config.code if config.code_file is None else f"file:{config.code_file}",
-        "command": config.command,
-        "tolerance": config.tolerance,
+def _report(config: RunConfig, checks, trials=()) -> tuple[int, dict]:
+    """The exit code, 0 iff every check passed, and the JSON report of the
+    ``CheckResult`` rows and ``TrialResult`` trials."""
+    report = {
+        "meta": {
+            "seed": config.seed,
+            "code": config.code if config.code_file is None else f"file:{config.code_file}",
+            "command": config.command,
+            "tolerance": config.tolerance,
+        },
+        "checks": [{"name": c.name, "pass": bool(c.passed),
+                    "worst_deviation": float(c.worst_deviation)} for c in checks],
+        "trials": [{"index": i, "fidelity": t.fidelity, "purity": t.purity}
+                   for i, t in enumerate(trials)],
     }
-
-
-def _exit_code(report: dict) -> int:
-    return 0 if all(c["pass"] for c in report["checks"]) else 1
+    return (0 if all(c.passed for c in checks) else 1), report
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, dict]:
-    result = verify.certify(build_code(config), config.tolerance)
-    rows = [
-        {"name": c.name, "pass": bool(c.passed), "worst_deviation": float(c.worst_deviation)}
-        for c in result.checks
-    ]
-    report = {"meta": _meta(config), "checks": rows, "trials": []}
-    return _exit_code(report), report
+    return _report(config, verify.certify(build_code(config), config.tolerance).checks)
 
 
 def cmd_recover(config: RunConfig) -> tuple[int, dict]:
@@ -287,15 +289,8 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
             plan = verify.synthesize_recovery(code, config.bad_position, tolerance=config.tolerance)
         except verify.RecoverySynthesisError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            failed = {
-                "meta": _meta(config),
-                "checks": [
-                    {"name": "decoder_synthesis", "pass": False,
-                     "worst_deviation": float(exc.worst_deviation)}
-                ],
-                "trials": [],
-            }
-            return 1, failed
+            # a refusal, not a measurement: no decoder exists to measure
+            return _report(config, [CheckResult("decoder_synthesis", False, exc.worst_deviation)])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -311,24 +306,11 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
         # e.g. leak:3,1 with a nonzero weight: the leaked subspace cannot host
         # two orthonormal images, which only surfaces when a channel is built
         raise ConfigError(str(exc)) from exc
-    trial_rows = [{"index": i, "fidelity": r.fidelity, "purity": r.purity}
-                  for i, r in enumerate(results)]
-    min_fid = min(r.fidelity for r in results)
-    min_pur = min(r.purity for r in results)
-    checks = [
-        {
-            "name": "min_fidelity",
-            "pass": min_fid >= 1.0 - config.tolerance,
-            "worst_deviation": max(0.0, 1.0 - min_fid),
-        },
-        {
-            "name": "min_purity",
-            "pass": min_pur >= 1.0 - config.tolerance,
-            "worst_deviation": max(0.0, 1.0 - min_pur),
-        },
-    ]
-    report = {"meta": _meta(config), "checks": checks, "trials": trial_rows}
-    return _exit_code(report), report
+    checks = [CheckResult.within("min_fidelity", 1.0 - min(r.fidelity for r in results),
+                                 config.tolerance),
+              CheckResult.within("min_purity", 1.0 - min(r.purity for r in results),
+                                 config.tolerance)]
+    return _report(config, checks, results)
 
 
 def cmd_share_demo(config: RunConfig) -> tuple[int, dict]:
@@ -344,29 +326,14 @@ def cmd_share_demo(config: RunConfig) -> tuple[int, dict]:
     else:
         message = code.random_message(rng)
     encoded = code.encode(message)
-
-    checks = [
-        {"name": f"marginal_site{s}", "pass": dev <= config.tolerance, "worst_deviation": dev}
-        for s, dev in enumerate(map(float, verify.marginal_deviations(encoded)))
-    ]
+    checks = [CheckResult.within(f"marginal_site{s}", dev, config.tolerance)
+              for s, dev in enumerate(verify.marginal_deviations(encoded))]
 
     restored = apply_circuit(encoded, invert_circuit(code.encoder))
     rho_msg = partial_trace(restored, tuple(range(n)))
     fid = fidelity_with_pure(rho_msg, message.as_state())
-    purity = rho_msg.purity()
-    checks.append(
-        {
-            "name": "joint_reconstruction",
-            "pass": fid >= 1.0 - config.tolerance,
-            "worst_deviation": max(0.0, 1.0 - fid),
-        }
-    )
-    report = {
-        "meta": _meta(config),
-        "checks": checks,
-        "trials": [{"index": 0, "fidelity": fid, "purity": purity}],
-    }
-    return _exit_code(report), report
+    checks.append(CheckResult.within("joint_reconstruction", 1.0 - fid, config.tolerance))
+    return _report(config, checks, [TrialResult(fid, rho_msg.purity())])
 
 
 def _default_seed() -> int:

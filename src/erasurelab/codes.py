@@ -155,28 +155,25 @@ class CodeSpec:
 
 
 class RecoveryPlan:
-    """Decode and repair circuits for one known bad position.
+    """The recovery circuit for one known bad position.
 
-    Neither circuit ever touches the bad site, so they commute with whatever
-    happened there; after both run, the message sits on ``output_register``.
+    The circuit never touches the bad site, so it commutes with whatever
+    happened there; after it runs, the message sits on ``output_register``.
     """
 
-    __slots__ = ("bad_position", "decode", "recover", "output_register")
+    __slots__ = ("bad_position", "circuit", "output_register")
 
-    def __init__(self, bad_position: int, decode: Circuit, recover: Circuit, output_register):
+    def __init__(self, bad_position: int, circuit: Circuit, output_register):
         bad_position = int(bad_position)
         output_register = tuple(int(s) for s in output_register)
-        for name, circ in (("decode", decode), ("recover", recover)):
-            touched = {t for c_op in circ.ops for t in c_op.targets}
-            if bad_position in touched:
-                raise ValueError(f"{name} circuit touches the bad position {bad_position}")
+        if bad_position in {t for c_op in circuit.ops for t in c_op.targets}:
+            raise ValueError(f"circuit touches the bad position {bad_position}")
         if bad_position in output_register:
             raise ValueError("output register contains the bad position")
         if len(set(output_register)) != len(output_register):
             raise ValueError("output register has repeated sites")
         self.bad_position = bad_position
-        self.decode = decode
-        self.recover = recover
+        self.circuit = circuit
         self.output_register = output_register
 
     def apply(self, state: PureState) -> PureState:
@@ -184,7 +181,7 @@ class RecoveryPlan:
 
     def apply_rows(self, amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         """``apply`` on a flat amplitude vector over ``dims`` or a stack of them."""
-        return circuit_rows(circuit_rows(amps, dims, self.decode), dims, self.recover)
+        return circuit_rows(amps, dims, self.circuit)
 
     def __repr__(self) -> str:
         return f"RecoveryPlan(bad_position={self.bad_position})"
@@ -250,16 +247,14 @@ _RECOVERY_OPS = {
 
 
 def recovery_for(bad_position: int) -> RecoveryPlan:
-    """Full decode-plus-repair plan for one bad site of the six-qubit code."""
+    """Full decode-plus-repair plan for one bad site of the six-qubit code:
+    the repair gates written before the decoder's, so the decoder runs first."""
     if bad_position not in _RECOVERY_OPS:
         raise ValueError(f"bad position {bad_position} out of range 0..5")
-    decode = decoder_for(bad_position)
-    recover = Circuit(
-        [op(kind, *targets) for kind, *targets in _RECOVERY_OPS[bad_position]],
-        SiteDims.qubits(6),
-    )
+    repair = [op(kind, *targets) for kind, *targets in _RECOVERY_OPS[bad_position]]
+    circuit = Circuit(repair + list(decoder_for(bad_position).ops), SiteDims.qubits(6))
     output_register = (3, 4, 5) if bad_position in (0, 1, 2) else (0, 1, 2)
-    return RecoveryPlan(bad_position, decode, recover, output_register)
+    return RecoveryPlan(bad_position, circuit, output_register)
 
 
 # Images of the three single-excitation message states |001>, |010>, |100>

@@ -11,8 +11,8 @@ Three families of checks live here:
   0.8 s on hiding:8 (one core, one BLAS thread),
 * numerical synthesis of a recovery unitary from the same tensor, which
   refuses whenever the code cannot correct the erasure; the decoder is a
-  ``RecoveryPlan`` whose decode circuit is one ``CUSTOM`` gate on the
-  intact sites,
+  ``RecoveryPlan`` whose circuit is one ``CUSTOM`` gate on the intact
+  sites,
 * seeded checks through the encoder: sampled marginals of random messages,
   and encode / damage / repair trials measured by fidelity and purity, one
   trial at a time (``run_recovery_trial``) or stacked
@@ -56,6 +56,13 @@ class CheckResult:
     name: str
     passed: bool
     worst_deviation: float
+
+    @classmethod
+    def within(cls, name: str, deviation: float, tolerance: float) -> "CheckResult":
+        """A measured row: it passes iff ``deviation <= tolerance``, so NaN
+        fails.  A negative deviation is reported as 0.0; NaN stays NaN."""
+        deviation = float(deviation)
+        return cls(name, deviation <= tolerance, 0.0 if deviation < 0 else deviation)
 
 
 @dataclass(frozen=True)
@@ -165,8 +172,7 @@ def _kl_row(name: str, overlaps: np.ndarray, ops: np.ndarray, tolerance: float) 
     """<i|M|j> must be delta_ij times a constant, for every M in ``ops``."""
     side = overlaps.shape[0]
     m = ops.reshape(len(ops), 4) @ overlaps.transpose(1, 3, 0, 2).reshape(4, side * side)
-    worst = _delta_deviation(m, side)
-    return CheckResult(name, worst <= tolerance, worst)
+    return CheckResult.within(name, _delta_deviation(m, side), tolerance)
 
 
 def _pair_products(operators) -> np.ndarray:
@@ -212,8 +218,8 @@ def certify(code: CodeSpec, tolerance: float = DEFAULT_TOLERANCE) -> Verificatio
         erasure.append(row)
         # Tr_rest |j><i| at the site is O[i, :, j, :] transposed, so every
         # encoded message has marginal I/2 iff O = delta_ij I/2
-        worst = _block_deviation(overlaps, np.eye(2) / 2)
-        hiding.append(CheckResult(f"hiding_site{p}", worst <= tolerance, worst))
+        hiding.append(CheckResult.within(f"hiding_site{p}",
+                                         _block_deviation(overlaps, np.eye(2) / 2), tolerance))
     return VerificationReport(checks=tuple(kl + erasure + hiding), tolerance=tolerance)
 
 
@@ -236,8 +242,8 @@ def synthesize_recovery(
     corrects the erasure exactly when <w_ik|w_jk'> = delta_ij g_kk' with a
     common 2x2 overlap matrix g.  The synthesized unitary rotates the
     orthonormalized sectors onto junk-register states tensor the message
-    basis.  It is returned as a RecoveryPlan whose decode circuit is one
-    CUSTOM gate on the intact sites and whose recover circuit is empty.
+    basis.  It is returned as a RecoveryPlan whose circuit is one CUSTOM gate
+    on the intact sites.
     Raises RecoverySynthesisError when the overlap structure fails, or when
     the orthonormalized sectors, or the decoder completed from them, are not
     orthonormal to GATE_UNITARITY_TOL.
@@ -313,8 +319,7 @@ def synthesize_recovery(
     except ValueError as exc:  # completing the sources can lose a little orthonormality
         raise RecoverySynthesisError(f"synthesized decoder refused: {exc}",
                                      orthonormality_deviation(unitary)) from exc
-    decode = Circuit([CircuitOp(gate, rest)], code.dims)
-    return RecoveryPlan(position, decode, Circuit((), code.dims), output_register)
+    return RecoveryPlan(position, Circuit([CircuitOp(gate, rest)], code.dims), output_register)
 
 
 def marginal_deviations(state) -> np.ndarray:
@@ -339,8 +344,7 @@ def check_hiding(
     worst = np.zeros(code.n_physical)
     for _ in range(trials):
         worst = np.maximum(worst, marginal_deviations(code.encode(code.random_message(rng))))
-    checks = tuple(CheckResult(f"hiding_site{s}", w <= tolerance, float(w))
-                   for s, w in enumerate(worst))
+    checks = tuple(CheckResult.within(f"hiding_site{s}", w, tolerance) for s, w in enumerate(worst))
     return VerificationReport(checks=checks, tolerance=tolerance, seed=seed)
 
 
@@ -423,7 +427,7 @@ def _message_stack(code, rows, first) -> np.ndarray:
     msgs = np.array(rows, dtype=np.complex128)
     norm = np.linalg.norm(msgs, axis=1)
     _require(np.abs(norm - 1.0) <= NORM_TOL, first,
-             lambda i: f"message norm {norm[i]!r} differs from 1 by more than {NORM_TOL}")
+             lambda i: f"message norm {float(norm[i])!r} differs from 1 by more than {NORM_TOL}")
     code._check_support(msgs)
     return msgs
 
@@ -438,8 +442,8 @@ def _trial_chunk(code, w, position, output, msgs, v, first) -> list[TrialResult]
     # the channel at the damaged site, the environment appended last (apply_erasure)
     damaged = np.einsum("toei,taib->taobe", v, psi)
     norm = np.linalg.norm(damaged.reshape(t, -1), axis=1)
-    _require(np.abs(norm - 1.0) <= NORM_TOL, first,
-             lambda i: f"damaged state norm {norm[i]!r} differs from 1 by more than {NORM_TOL}")
+    _require(np.abs(norm - 1.0) <= NORM_TOL, first, lambda i: f"damaged state norm "
+             f"{float(norm[i])!r} differs from 1 by more than {NORM_TOL}")
 
     # output-register axes first, in the register's order, then everything traced
     sites = damaged.reshape((t,) + (2,) * position + (out_dim,)

@@ -19,7 +19,7 @@ from erasurelab.cli import (
 )
 from erasurelab.codes import CodeSpec, recovery_for, six_qubit_logical_basis, w_code
 from test_verify import (dense_overlaps, leaky_hiding_code, reference_block_deviation,
-                         reference_kl_row)
+                         reference_kl_row, reported_norm)
 
 # the benchmark's command grids, imported from its own directory
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -272,6 +272,20 @@ class TestRecoverCommand:
         assert [c["pass"] for c in report["checks"]] == [True, False]
         assert code == 1
 
+    def test_a_row_passes_iff_the_deviation_it_prints_is_within_the_tolerance(self, capsys):
+        # the worst fidelity of these trials is 1 - 10 * 2^-53: not below
+        # 1 - tolerance once that is rounded, yet 1 - fidelity is above it
+        tol = 1.0658141036401502e-15
+        code, report, _ = run_json(capsys, "recover", "--code", "w5", "--pos", "2",
+                                   "--trials", "50", "--tolerance", repr(tol))
+        assert code == 1
+        row = report["checks"][0]
+        assert row == {"name": "min_fidelity", "pass": False,
+                       "worst_deviation": 1.1102230246251565e-15}
+        assert min(t["fidelity"] for t in report["trials"]) >= 1.0 - tol
+        for row in report["checks"]:
+            assert row["pass"] == (row["worst_deviation"] <= tol)
+
     def test_under_capacity_leak_channel(self, capsys):
         code, _, err = run(
             capsys, "recover", "--pos", "0", "--channel", "leak:3,1,0.5", "--trials", "1"
@@ -353,6 +367,7 @@ class TestRecoverCommand:
         assert out == ""
         assert err.startswith("error: trial 0: damaged state norm") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not abs(reported_norm(err, "damaged state") - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("argv", [
         # 512 trials of 2^9 x 2 x 16 damaged amplitudes: an unchunked stack of
@@ -581,7 +596,8 @@ class TestJsonRendering:
         for name in ("certify", "repair", "share"):
             commands += workloads.build(name, seed, str(tmp_path))
         for command in commands:
-            run(capsys, *command.argv)
+            # the benchmark's own verdict on the outcome, rows and trials
+            assert workloads.check_report(command, *run(capsys, *command.argv)) == []
         assert len(reports) == len(commands)
         for report in reports:
             assert render_json(report) == reference_render(report) + "\n"

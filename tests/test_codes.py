@@ -191,8 +191,11 @@ class TestDecodeAndRecovery:
         for bad in range(6):
             plan = recovery_for(bad)
             assert plan.bad_position == bad
-            for circ in (plan.decode, plan.recover):
-                assert bad not in {t for o in circ.ops for t in o.targets}
+            assert bad not in {t for o in plan.circuit.ops for t in o.targets}
+            # written last, so the decoder runs first
+            decoder = decoder_for(bad).ops
+            assert [(o.gate.kind, o.targets) for o in plan.circuit.ops[-len(decoder):]] == [
+                (o.gate.kind, o.targets) for o in decoder]
             assert bad not in plan.output_register
             assert plan.output_register == ((3, 4, 5) if bad < 3 else (0, 1, 2))
 
@@ -202,21 +205,20 @@ class TestDecodeAndRecovery:
         swap = {0: 3, 1: 4, 2: 5, 3: 0, 4: 1, 5: 2}
         for bad in range(3):
             a, b = recovery_for(bad), recovery_for(bad + 3)
-            for circ_a, circ_b in ((a.decode, b.decode), (a.recover, b.recover)):
-                relabeled = [tuple(swap[t] for t in o.targets) for o in circ_a.ops]
-                assert relabeled == [o.targets for o in circ_b.ops]
-                assert [o.gate.kind for o in circ_a.ops] == [o.gate.kind for o in circ_b.ops]
+            relabeled = [tuple(swap[t] for t in o.targets) for o in a.circuit.ops]
+            assert relabeled == [o.targets for o in b.circuit.ops]
+            assert [o.gate.kind for o in a.circuit.ops] == [o.gate.kind for o in b.circuit.ops]
 
     def test_recovery_plan_validation(self):
         dims = SiteDims.qubits(6)
         touching = Circuit([op("H", 0)], dims)
         empty = Circuit([], dims)
         with pytest.raises(ValueError):
-            RecoveryPlan(0, touching, empty, (3, 4, 5))
+            RecoveryPlan(0, touching, (3, 4, 5))
         with pytest.raises(ValueError):
-            RecoveryPlan(0, empty, empty, (0, 4, 5))
+            RecoveryPlan(0, empty, (0, 4, 5))
         with pytest.raises(ValueError):
-            RecoveryPlan(0, empty, empty, (4, 4, 5))
+            RecoveryPlan(0, empty, (4, 4, 5))
 
     def test_identity_error_roundtrip(self):
         # an erasure code must also correct "nothing happened"

@@ -484,9 +484,9 @@ class TestSynthesis:
 
     def test_unitary_output(self):
         syn = synthesize_recovery(w_code(), 2)
-        (decoder,) = syn.decode.ops
+        (decoder,) = syn.circuit.ops
         assert decoder.gate.kind == "CUSTOM" and decoder.targets == (0, 1, 3, 4)
-        assert len(syn.recover) == 0
+        assert len(syn.circuit) == 1
         u = decoder.gate.matrix
         np.testing.assert_allclose(u.conj().T @ u, np.eye(16), atol=1e-12)
         assert not u.flags.writeable  # apply() relies on the one check at Gate construction
@@ -504,7 +504,7 @@ class TestSynthesis:
 
         monkeypatch.setattr(verify, "_complete_orthonormal_basis", keep)
         for pos in range(code.n_physical):
-            unitary = synthesize_recovery(code, pos).decode.ops[0].gate.matrix
+            unitary = synthesize_recovery(code, pos).circuit.ops[0].gate.matrix
             source = sources[-1]
             # unitary = P source^H for a permutation P, read back off the result
             perm = np.rint(np.abs(unitary @ source))
@@ -516,7 +516,7 @@ class TestSynthesis:
     def test_apply_matches_the_validated_path_and_checks_its_sites(self):
         code = w_code()
         syn = synthesize_recovery(code, 2)
-        (decoder,) = syn.decode.ops
+        (decoder,) = syn.circuit.ops
         state = PureState(code.dims, code.basis[1])
         hit = apply_erasure(state, ErasureEvent(2, leakage_decoherence(3, 3)))
         reference = apply_local_operator(hit, decoder.gate.matrix, decoder.targets)
@@ -621,6 +621,13 @@ def assert_matches_the_reference(code, plan, position, channel, trials):
         assert abs(got.fidelity - want.fidelity) <= 1e-14
         assert abs(got.purity - want.purity) <= 1e-14
     return batched
+
+
+def reported_norm(text: str, what: str) -> float:
+    """The norm an engine error names: printed as a plain float, as
+    `PureState` and `MessageState` print it, never as numpy's repr."""
+    assert "np.float64" not in text
+    return float(text.split(f"{what} norm ", 1)[1].split(" differs")[0])
 
 
 def scaled(columns):
@@ -779,16 +786,19 @@ class TestBatchedTrials:
     def test_rejects_messages_that_are_not_unit_vectors(self, amps):
         code = six_qubit_logical_basis()
         trials = draw_trials(code, "random:4", 2, np.random.default_rng(1)) + [(amps, 3)]
-        with pytest.raises(ValueError, match="trial 2: message norm"):
+        with pytest.raises(ValueError, match="trial 2: message norm") as exc_info:
             run_recovery_trials(code, recovery_for(0), 0, parse_channel("random:4"), trials)
+        np.testing.assert_equal(reported_norm(str(exc_info.value), "message"),
+                                float(np.linalg.norm(amps)))
 
     @pytest.mark.parametrize("damage", [scaled, with_nan])
     def test_a_channel_changed_after_construction_is_refused(self, damage):
         code = six_qubit_logical_basis()
         trials = draw_trials(code, "random:4", 4, np.random.default_rng(9))
         channel = Tampered(parse_channel("random:4"), 2, damage)
-        with pytest.raises(ValueError, match="trial 2: damaged state norm"):
+        with pytest.raises(ValueError, match="trial 2: damaged state norm") as exc_info:
             run_recovery_trials(code, recovery_for(1), 1, channel, trials)
+        assert not abs(reported_norm(str(exc_info.value), "damaged state") - 1.0) <= 1e-10
 
 
 def test_report_dataclasses():
@@ -796,3 +806,20 @@ def test_report_dataclasses():
     bad = CheckResult("y", False, 0.5)
     assert VerificationReport((ok,), 1e-10).passed
     assert not VerificationReport((ok, bad), 1e-10).passed
+
+
+class TestMeasuredRows:
+    def test_passes_at_the_tolerance_and_fails_just_above_it(self):
+        tol = 1e-10
+        assert CheckResult.within("x", tol, tol) == CheckResult("x", True, tol)
+        above = np.nextafter(tol, 1.0)
+        assert CheckResult.within("x", above, tol) == CheckResult("x", False, above)
+
+    def test_a_negative_deviation_prints_as_zero_and_passes(self):
+        row = CheckResult.within("min_purity", 1.0 - np.nextafter(1.0, 2.0), 1e-10)
+        assert row == CheckResult("min_purity", True, 0.0)
+        assert type(row.worst_deviation) is float
+
+    def test_nan_fails_and_stays_nan(self):
+        row = CheckResult.within("x", np.nan, 1e-10)
+        assert not row.passed and np.isnan(row.worst_deviation)
