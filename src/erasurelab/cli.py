@@ -142,6 +142,8 @@ def _parse_hiding(text: str, lo: int) -> int:
         n = int(num)
     except ValueError as exc:
         raise ConfigError(f"malformed code selector {text!r}") from exc
+    if text != f"hiding:{n}":  # one spelling per code: not hiding:03, hiding:+3 or other digits
+        raise ConfigError(f"malformed code selector {text!r}")
     if not lo <= n <= codes_mod.HIDING_MAX_QUBITS:
         raise ConfigError(
             f"hiding qubit count {n} out of range {lo}..{codes_mod.HIDING_MAX_QUBITS}"
@@ -275,8 +277,6 @@ def cmd_verify(config: RunConfig) -> tuple[int, dict]:
 
 def cmd_recover(config: RunConfig) -> tuple[int, dict]:
     code = build_code(config)
-    if config.bad_position is None:
-        raise ConfigError("recover needs --pos")
     if not 0 <= config.bad_position < code.n_physical:
         raise ConfigError(
             f"position {config.bad_position} out of range for {code.n_physical} sites"
@@ -300,8 +300,7 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
     trials = ((code.random_amplitudes(rng), int(rng.integers(0, 2**63 - 1)))
               for _ in range(config.trials))
     try:
-        results = verify.run_recovery_trials(code, plan, config.bad_position, config.channel,
-                                             trials)
+        results = verify.run_recovery_trials(code, plan, config.channel, trials)
     except ValueError as exc:
         # e.g. leak:3,1 with a nonzero weight: the leaked subspace cannot host
         # two orthonormal images, which only surfaces when a channel is built
@@ -331,7 +330,7 @@ def cmd_share_demo(config: RunConfig) -> tuple[int, dict]:
 
     restored = apply_circuit(encoded, invert_circuit(code.encoder))
     rho_msg = partial_trace(restored, tuple(range(n)))
-    fid = fidelity_with_pure(rho_msg, message.as_state())
+    fid = fidelity_with_pure(rho_msg, message)
     checks.append(CheckResult.within("joint_reconstruction", 1.0 - fid, config.tolerance))
     return _report(config, checks, [TrialResult(fid, rho_msg.purity())])
 

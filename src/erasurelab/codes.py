@@ -130,7 +130,7 @@ class CodeSpec:
         if self.encoder is None:
             return self.basis
         one_hot = np.eye(2**self.k_logical, dtype=np.complex128)[list(self.message_labels)]
-        return circuit_rows(self._padded(one_hot), self.dims.dims, self.encoder)
+        return circuit_rows(self._padded(one_hot), self.dims, self.encoder)
 
     def _padded(self, amps: np.ndarray) -> np.ndarray:
         """Message amplitudes (any leading axes) as the register state
@@ -177,11 +177,7 @@ class RecoveryPlan:
         self.output_register = output_register
 
     def apply(self, state: PureState) -> PureState:
-        return PureState(state.dims, self.apply_rows(state.amps, state.dims.dims))
-
-    def apply_rows(self, amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-        """``apply`` on a flat amplitude vector over ``dims`` or a stack of them."""
-        return circuit_rows(amps, dims, self.circuit)
+        return apply_circuit(state, self.circuit)
 
     def __repr__(self) -> str:
         return f"RecoveryPlan(bad_position={self.bad_position})"

@@ -34,24 +34,26 @@ TOFFOLI_MATRIX[6:8, 6:8] = PAULI_X
 PAULI_BY_KIND = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 _STANDARD = {
-    "H": (HADAMARD, 1),
-    "X": (PAULI_X, 1),
-    "Y": (PAULI_Y, 1),
-    "Z": (PAULI_Z, 1),
-    "CNOT": (CNOT_MATRIX, 2),
-    "CZ": (CZ_MATRIX, 2),
-    "TOFFOLI": (TOFFOLI_MATRIX, 3),
+    "H": HADAMARD,
+    "X": PAULI_X,
+    "Y": PAULI_Y,
+    "Z": PAULI_Z,
+    "CNOT": CNOT_MATRIX,
+    "CZ": CZ_MATRIX,
+    "TOFFOLI": TOFFOLI_MATRIX,
 }
 
 GATE_KINDS = frozenset(_STANDARD) | {"CUSTOM"}
 
 
 class Gate:
-    """A unitary with a kind label and the number of sites it acts on."""
+    """A unitary with a kind label.  Its arity, the number of sites it acts
+    on, is read off the matrix: log2 of a power-of-two side, else 1 (one
+    qudit)."""
 
     __slots__ = ("kind", "matrix", "arity")
 
-    def __init__(self, kind: str, matrix, arity: int | None = None):
+    def __init__(self, kind: str, matrix):
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
         matrix = np.array(matrix, dtype=np.complex128)
@@ -61,22 +63,18 @@ class Gate:
         dev = orthonormality_deviation(matrix)
         if not dev <= GATE_UNITARITY_TOL:
             raise ValueError(f"gate matrix is not unitary (deviation {dev:.3e})")
-        if arity is None:
-            log = side.bit_length() - 1
-            arity = log if 2**log == side else 1
-        if 2**arity != side and arity != 1:
-            raise ValueError(f"arity {arity} does not match matrix side {side}")
         self.kind = kind
         matrix.setflags(write=False)
         self.matrix = matrix
-        self.arity = int(arity)
+        log = side.bit_length() - 1
+        self.arity = log if 2**log == side else 1
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def dagger(self) -> "Gate":
-        return Gate(self.kind, self.matrix.conj().T, self.arity)
+        return Gate(self.kind, self.matrix.conj().T)
 
     def __repr__(self) -> str:
         return f"Gate({self.kind}, arity={self.arity})"
@@ -87,8 +85,7 @@ def standard_gate(kind: str) -> Gate:
     """The gate of a standard kind, built and checked once per process."""
     if kind not in _STANDARD:
         raise ValueError(f"unknown standard gate kind {kind!r}")
-    matrix, arity = _STANDARD[kind]
-    return Gate(kind, matrix, arity)
+    return Gate(kind, _STANDARD[kind])
 
 
 def custom_gate(matrix) -> Gate:
@@ -160,7 +157,7 @@ class Circuit:
         return len(self.ops)
 
     def __repr__(self) -> str:
-        return f"Circuit({list(self.ops)!r}, dims={self.dims.dims})"
+        return f"Circuit({list(self.ops)!r}, dims={tuple(self.dims)})"
 
 
 def op(kind: str, *targets: int) -> CircuitOp:
@@ -176,7 +173,7 @@ def apply_circuit(state: PureState, circuit: Circuit) -> PureState:
     site the circuit actually touches exists and has the dimension the
     circuit was built for.
     """
-    return PureState(state.dims, circuit_rows(state.amps, state.dims.dims, circuit))
+    return PureState(state.dims, circuit_rows(state.amps, state.dims, circuit))
 
 
 def circuit_rows(amps: np.ndarray, dims: tuple[int, ...], circuit: Circuit) -> np.ndarray:
@@ -186,7 +183,7 @@ def circuit_rows(amps: np.ndarray, dims: tuple[int, ...], circuit: Circuit) -> n
     for c_op in circuit.ops:
         for t in c_op.targets:
             if t >= len(dims) or dims[t] != circuit.dims[t]:
-                raise ValueError(f"op {c_op!r} does not fit the state register {dims}")
+                raise ValueError(f"op {c_op!r} does not fit the state register {tuple(dims)}")
     # gate unitarity was checked once, at Gate construction (1e-12)
     for c_op in reversed(circuit.ops):
         amps = _contract(amps, dims, c_op.gate.matrix, c_op.targets)

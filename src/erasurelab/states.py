@@ -26,16 +26,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class SiteDims:
-    """Ordered per-site dimensions of a register.
-
-    Immutable; the total dimension (product of entries) is capped so that a
+class SiteDims(tuple):
+    """Ordered per-site dimensions of a register: a tuple of ints, each at
+    least 2, whose product (the total dimension) is capped so that a
     mistyped register cannot silently allocate gigabytes.
     """
 
-    __slots__ = ("dims",)
+    __slots__ = ()
 
-    def __init__(self, dims):
+    def __new__(cls, dims):
         dims = tuple(int(d) for d in dims)
         if not dims:
             raise ValueError("a register needs at least one site")
@@ -44,7 +43,7 @@ class SiteDims:
         total = math.prod(dims)
         if total > DEFAULT_DIMENSION_CAP:
             raise ValueError(f"total dimension {total} exceeds the cap {DEFAULT_DIMENSION_CAP}")
-        self.dims = dims
+        return super().__new__(cls, dims)
 
     @classmethod
     def qubits(cls, n: int) -> "SiteDims":
@@ -52,47 +51,28 @@ class SiteDims:
 
     @property
     def total(self) -> int:
-        return math.prod(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __getitem__(self, i):
-        return self.dims[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SiteDims):
-            return self.dims == other.dims
-        if isinstance(other, tuple):
-            return self.dims == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.dims)
+        return math.prod(self)
 
     def __repr__(self) -> str:
-        return f"SiteDims({self.dims})"
+        return f"SiteDims({tuple(self)})"
 
     def index_of(self, labels) -> int:
         """Mixed-radix index of a tuple of per-site basis labels."""
         labels = tuple(int(b) for b in labels)
-        if len(labels) != len(self.dims):
-            raise ValueError(f"expected {len(self.dims)} labels, got {len(labels)}")
-        for b, d in zip(labels, self.dims):
+        if len(labels) != len(self):
+            raise ValueError(f"expected {len(self)} labels, got {len(labels)}")
+        for b, d in zip(labels, self):
             if not 0 <= b < d:
                 raise ValueError(f"label {b} out of range for site of dimension {d}")
-        return int(np.ravel_multi_index(labels, self.dims))
+        return int(np.ravel_multi_index(labels, self))
 
     def replaced(self, position: int, dim: int) -> "SiteDims":
-        new = list(self.dims)
+        new = list(self)
         new[position] = dim
         return SiteDims(new)
 
     def appended(self, dim: int) -> "SiteDims":
-        return SiteDims(self.dims + (dim,))
+        return SiteDims(self + (dim,))
 
 
 class PureState:
@@ -144,10 +124,10 @@ class PureState:
     @property
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per site (read-only view)."""
-        return self.amps.reshape(self.dims.dims)
+        return self.amps.reshape(self.dims)
 
     def __repr__(self) -> str:
-        return f"PureState(dims={self.dims.dims})"
+        return f"PureState(dims={tuple(self.dims)})"
 
 
 class DensityMatrix:
@@ -174,26 +154,17 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def __repr__(self) -> str:
-        return f"DensityMatrix(dims={self.dims.dims})"
+        return f"DensityMatrix(dims={tuple(self.dims)})"
 
 
-class MessageState:
-    """State of k message qubits prior to encoding."""
+class MessageState(PureState):
+    """State of n message qubits prior to encoding: the PureState of
+    ``SiteDims.qubits(n)``."""
 
-    __slots__ = ("n", "amps")
+    __slots__ = ()
 
     def __init__(self, n: int, amps):
-        n = int(n)
-        if n < 1:
-            raise ValueError("need at least one message qubit")
-        amps = np.array(amps, dtype=np.complex128).reshape(-1)
-        if amps.size != 2**n:
-            raise ValueError(f"amplitude vector has length {amps.size}, expected {2**n}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"message norm {norm!r} differs from 1 by more than {NORM_TOL}")
-        self.n = n
-        self.amps = _frozen(amps)
+        super().__init__(SiteDims.qubits(int(n)), amps)
 
     @classmethod
     def basis(cls, n: int, index: int) -> "MessageState":
@@ -206,8 +177,9 @@ class MessageState:
         z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         return cls(n, z / np.linalg.norm(z))
 
-    def as_state(self) -> PureState:
-        return PureState(SiteDims.qubits(self.n), self.amps)
+    @property
+    def n(self) -> int:
+        return len(self.dims)
 
     def __repr__(self) -> str:
         return f"MessageState(n={self.n})"
@@ -215,7 +187,7 @@ class MessageState:
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
     """Joint state with a's sites first (most significant)."""
-    dims = SiteDims(a.dims.dims + b.dims.dims)
+    dims = SiteDims(a.dims + b.dims)
     return PureState(dims, np.kron(a.amps, b.amps))
 
 
@@ -266,7 +238,7 @@ def apply_local_operator(state: PureState, op, targets) -> PureState:
     dev = orthonormality_deviation(op)
     if not dev <= OPERATOR_UNITARITY_TOL:
         raise ValueError(f"operator is not unitary (deviation {dev:.3e})")
-    return PureState(state.dims, _contract(state.amps, state.dims.dims, op, targets))
+    return PureState(state.dims, _contract(state.amps, state.dims, op, targets))
 
 
 def partial_trace(state: PureState, keep) -> DensityMatrix:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec, RecoveryPlan
-from .gates import GATE_UNITARITY_TOL, PAULI_BY_KIND, Circuit, CircuitOp, custom_gate
+from .gates import GATE_UNITARITY_TOL, PAULI_BY_KIND, Circuit, CircuitOp, circuit_rows, custom_gate
 from .noise import ErasureEvent, apply_erasure
 from .states import (DEFAULT_DIMENSION_CAP, EIGENVALUE_FLOOR, HERMITICITY_TOL, NORM_TOL,
                      TRACE_TOL, MessageState, fidelity_with_pure, orthonormality_deviation,
@@ -366,15 +366,14 @@ def run_recovery_trial(
     repaired = plan.apply(damaged)
     rho = partial_trace(repaired, plan.output_register)
     return TrialResult(
-        fidelity=fidelity_with_pure(rho, message.as_state()),
+        fidelity=fidelity_with_pure(rho, message),
         purity=rho.purity(),
     )
 
 
-def run_recovery_trials(code: CodeSpec, plan, position: int, channel, trials
-                        ) -> list[TrialResult]:
-    """``run_recovery_trial`` for every trial at one damaged site, with the
-    trials stacked.
+def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> list[TrialResult]:
+    """``run_recovery_trial`` for every trial at the plan's damaged site,
+    ``plan.bad_position``, with the trials stacked.
 
     ``trials`` yields (message amplitudes, channel seed) pairs and is taken
     lazily.  ``channel`` is a seeded channel family such as
@@ -382,28 +381,28 @@ def run_recovery_trials(code: CodeSpec, plan, position: int, channel, trials
     environment dimension), and ``channel.columns(seeds)`` the (T, out * env,
     2) stack of the seeds' isometry columns, built and checked once per chunk.
 
-    The plan never touches ``position`` and a channel touches only that site
-    and a new environment, so the two commute: plan∘encode is one fixed
+    The plan never touches its bad position and a channel touches only that
+    site and a new environment, so the two commute: plan∘encode is one fixed
     (L, D) map W, built once with one contraction per gate, and each trial is
-    its message's coefficients times W with its channel then applied at
-    ``position``.  Trials run in chunks of at most ``TRIAL_CHUNK_AMPS``
-    damaged amplitudes, and of at most as many entries of the matrices the
-    channels are built from (one trial, if a single trial is larger); every
-    trial gets the checks that ``MessageState``, ``PureState`` and
-    ``DensityMatrix`` make.  Raises ValueError when the plan may act on
-    ``position`` (anything but a ``RecoveryPlan`` for that site), or when a
-    check fails.
+    its message's coefficients times W with its channel then applied at that
+    site.  Trials run in chunks of at most ``TRIAL_CHUNK_AMPS`` damaged
+    amplitudes, and of at most as many entries of the matrices the channels
+    are built from (one trial, if a single trial is larger); every trial
+    gets the checks that ``MessageState``, ``PureState`` and
+    ``DensityMatrix`` make.  Raises ValueError for anything but a
+    ``RecoveryPlan`` (which may not commute with the channel), for a bad
+    position outside the code or an output register that does not hold the
+    message, or when a check fails.
     """
+    if not isinstance(plan, RecoveryPlan):
+        raise ValueError(f"{plan!r} is not a RecoveryPlan, so it may not commute with the "
+                         "channel at the damaged site")
     n, k = code.n_physical, code.k_logical
-    if not 0 <= position < n:
-        raise ValueError(f"position {position} out of range for {n} sites")
-    if not (isinstance(plan, RecoveryPlan) and plan.bad_position == position):
-        raise ValueError(f"{plan!r} is not a RecoveryPlan for the damaged site {position}, so "
-                         "it may not commute with the channel there")
-    output = tuple(plan.output_register)
-    if len(output) != k:
-        raise ValueError(f"output register {output} does not hold {k} message qubits")
-    w = plan.apply_rows(code.encoded_labels(), code.dims.dims)
+    if not 0 <= plan.bad_position < n:
+        raise ValueError(f"position {plan.bad_position} out of range for {n} sites")
+    if len(plan.output_register) != k:
+        raise ValueError(f"output register {plan.output_register} does not hold {k} message qubits")
+    w = circuit_rows(code.encoded_labels(), code.dims, plan.circuit)
     out_dim, env_dim = channel.shape
     rows = out_dim * env_dim
     # a channel's columns come from square matrices of at most rows^2 entries
@@ -413,8 +412,8 @@ def run_recovery_trials(code: CodeSpec, plan, position: int, channel, trials
     while chunk := list(itertools.islice(trials, per_chunk)):
         msgs = _message_stack(code, [m for m, _ in chunk], len(results))
         v = channel.columns([seed for _, seed in chunk])
-        results += _trial_chunk(code, w, position, output, msgs,
-                                v.reshape(len(chunk), out_dim, env_dim, 2), len(results))
+        results += _trial_chunk(code, w, plan, msgs, v.reshape(len(chunk), out_dim, env_dim, 2),
+                                len(results))
     return results
 
 
@@ -432,11 +431,11 @@ def _message_stack(code, rows, first) -> np.ndarray:
     return msgs
 
 
-def _trial_chunk(code, w, position, output, msgs, v, first) -> list[TrialResult]:
+def _trial_chunk(code, w, plan, msgs, v, first) -> list[TrialResult]:
     """Encode-and-plan, damage and score T trials in stacked numpy steps:
     ``msgs`` holds their message amplitudes and ``v`` their channels'
     columns, shaped (T, output site dimension, environment dimension, 2)."""
-    n, k = code.n_physical, code.k_logical
+    n, k, position = code.n_physical, code.k_logical, plan.bad_position
     t, out_dim, env_dim, _ = v.shape
     psi = (msgs[:, list(code.message_labels)] @ w).reshape(t, 2**position, 2, -1)
     # the channel at the damaged site, the environment appended last (apply_erasure)
@@ -448,7 +447,7 @@ def _trial_chunk(code, w, position, output, msgs, v, first) -> list[TrialResult]
     # output-register axes first, in the register's order, then everything traced
     sites = damaged.reshape((t,) + (2,) * position + (out_dim,)
                             + (2,) * (n - position - 1) + (env_dim,))
-    keep = [1 + s for s in output]
+    keep = [1 + s for s in plan.output_register]
     x = sites.transpose([0] + keep + [a for a in range(1, sites.ndim) if a not in keep])
     x = x.reshape(t, 2**k, -1)
     rho = x @ x.conj().transpose(0, 2, 1)

@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, JSON shape, determinism, config validation."""
 
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -62,6 +64,22 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "out of range" in err
+
+    @pytest.mark.parametrize("command", [["verify"], ["recover", "--pos", "0"], ["share-demo"]])
+    @pytest.mark.parametrize("selector", ["hiding:\u0663", "hiding:+2", "hiding:03", "hiding: 3"])
+    def test_a_selector_has_one_spelling(self, capsys, command, selector):
+        code, out, err = run(capsys, *command, "--code", selector)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: malformed code selector {selector!r}\n"
+
+    def test_the_canonical_selector_is_unchanged(self, capsys):
+        code, report, err = run_json(capsys, "verify", "--code", "hiding:3")
+        assert code == 0 and err == ""
+        assert report["meta"]["code"] == "hiding:3"
+        want = verify.certify(cli.build_code(cli.RunConfig("verify", "hiding:3", 42, None, 1e-10)))
+        assert [(c["name"], c["pass"], c["worst_deviation"]) for c in report["checks"]] == [
+            (c.name, c.passed, c.worst_deviation) for c in want.checks]
 
     def test_unknown_selector(self, capsys):
         code, _, err = run(capsys, "verify", "--code", "steane")
@@ -264,7 +282,7 @@ class TestRecoverCommand:
         # a perfect fidelity with an entangled output register is still a failure
         monkeypatch.setattr(
             verify, "run_recovery_trials",
-            lambda code, plan, pos, channel, trials: [
+            lambda code, plan, channel, trials: [
                 verify.TrialResult(1.0, 0.5) for _ in trials
             ],
         )
@@ -316,9 +334,9 @@ class TestRecoverCommand:
 
         stacks = []
 
-        def logged_chunk(code, w, position, output, msgs, v, first):
+        def logged_chunk(code, w, plan, msgs, v, first):
             stacks.append((msgs, v.reshape(len(v), -1, 2)))
-            return chunk(code, w, position, output, msgs, v, first)
+            return chunk(code, w, plan, msgs, v, first)
 
         monkeypatch.setattr(CodeSpec, "random_amplitudes", logged_message)
         monkeypatch.setattr(cli.ChannelSpec, "columns", logged_columns)
@@ -579,6 +597,27 @@ def reference_render(value, indent: int = 0) -> str:
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+class TestProcessExitStatus:
+    """`python -m erasurelab.cli` exits with the status `main` returns."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["verify", "--code", "six"], 0),
+        (["recover", "--code", "hiding:1", "--pos", "0"], 1),
+        (["verify", "--code", "hiding:9"], 2),
+    ])
+    def test_one_command_per_exit_status(self, argv, status):
+        env = {k: v for k, v in os.environ.items() if k != cli.SEED_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-m", "erasurelab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == status
+        if status == 2:
+            assert done.stdout == ""
+            assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        else:
+            assert json.loads(done.stdout)["meta"]["command"] == argv[0]
 
 
 class TestJsonRendering:

@@ -235,6 +235,15 @@ def test_custom_gate_on_qudit():
     assert out.amps[0] == 1.0
 
 
+def test_arity_is_read_off_the_matrix():
+    kinds = ("H", "X", "Y", "Z", "CNOT", "CZ", "TOFFOLI")
+    assert [standard_gate(k).arity for k in kinds] == [1, 1, 1, 1, 2, 2, 3]
+    assert standard_gate("TOFFOLI").dagger().arity == 3
+    assert custom_gate(np.roll(np.eye(3), 1, axis=0)).arity == 1  # a qudit gate
+    with pytest.raises(TypeError):
+        Gate("CUSTOM", np.eye(4), 2)
+
+
 def test_sitedims_reuse_in_circuit():
     dims = SiteDims((2, 2))
     c = Circuit([op("CZ", 0, 1)], dims)

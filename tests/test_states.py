@@ -20,11 +20,11 @@ RNG = np.random.default_rng(20240817)
 
 
 def test_sitedims_rejects_small_and_oversized():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one site"):
         SiteDims(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=">= 2"):
         SiteDims((2, 1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the cap"):
         SiteDims((2,) * 21)  # 2^21 over the default cap
     SiteDims((2,) * 20)  # exactly at the cap is fine
 
@@ -40,6 +40,14 @@ def test_sitedims_equality_and_helpers():
     assert d.replaced(1, 4) == (2, 4, 2)
     assert d.appended(5) == (2, 3, 2, 5)
     assert hash(d) == hash(SiteDims((2, 3, 2)))
+
+
+def test_sitedims_is_a_checked_tuple():
+    d = SiteDims.qubits(2)
+    assert isinstance(d, tuple)
+    assert d == (2, 2) and hash(d) == hash((2, 2))
+    assert repr(d) == "SiteDims((2, 2))"
+    assert PureState.basis_state(d, 0).tensor.shape == (2, 2)
 
 
 @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2), (3, 2, 4)])
@@ -242,15 +250,23 @@ def test_message_state():
     m = MessageState.basis(3, 5)
     assert m.n == 3
     assert m.amps[5] == 1.0
-    assert m.as_state().dims == (2, 2, 2)
-    with pytest.raises(ValueError):
+    assert m.dims == (2, 2, 2)
+    with pytest.raises(ValueError, match="at least one site"):
         MessageState(0, [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length 2, register needs 4"):
         MessageState(2, [1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state norm"):
         MessageState(1, [1.0, 1.0])
     r = MessageState.random(2, np.random.default_rng(9))
     assert abs(np.linalg.norm(r.amps) - 1.0) <= 1e-12
+
+
+def test_a_message_is_the_pure_state_of_its_qubits():
+    m = MessageState.random(2, np.random.default_rng(3))
+    assert isinstance(m, PureState)
+    assert m.dims == SiteDims.qubits(2) and m.n == 2
+    rho = partial_trace(tensor_product(m, PureState.basis_state((3,), 1)), (0, 1))
+    assert abs(fidelity_with_pure(rho, m) - 1.0) <= 1e-12
 
 
 def test_orthonormality_deviation_of_a_stack_is_its_worst_matrix():

@@ -610,14 +610,15 @@ def draw_trials(code, spec, count, rng):
             for _ in range(count)]
 
 
-def assert_matches_the_reference(code, plan, position, channel, trials):
+def assert_matches_the_reference(code, plan, channel, trials):
     """The engine against `run_recovery_trial` on each trial's message and
-    the channel `channel.build(seed)`, one at a time."""
-    batched = run_recovery_trials(code, plan, position, channel, iter(trials))
+    the channel `channel.build(seed)` at the plan's site, one at a time."""
+    batched = run_recovery_trials(code, plan, channel, iter(trials))
     assert len(batched) == len(trials)
     for got, (amps, seed) in zip(batched, trials):
         message = MessageState(code.k_logical, amps)
-        want = run_recovery_trial(code, message, ErasureEvent(position, channel.build(seed)), plan)
+        event = ErasureEvent(plan.bad_position, channel.build(seed))
+        want = run_recovery_trial(code, message, event, plan)
         assert abs(got.fidelity - want.fidelity) <= 1e-14
         assert abs(got.purity - want.purity) <= 1e-14
     return batched
@@ -653,7 +654,7 @@ class Tampered:
         return columns
 
 
-def stacked_w(code, plan, position, spec="pauli:I"):
+def stacked_w(code, plan, spec="pauli:I"):
     """The plan∘encode stack the engine hands its chunks, for one trial."""
     seen = []
     chunk = verify._trial_chunk
@@ -665,7 +666,7 @@ def stacked_w(code, plan, position, spec="pauli:I"):
     trial = draw_trials(code, spec, 1, np.random.default_rng(0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_trial_chunk", capture)
-        run_recovery_trials(code, plan, position, parse_channel(spec), trial)
+        run_recovery_trials(code, plan, parse_channel(spec), trial)
     return seen[0]
 
 
@@ -681,8 +682,8 @@ class TestBatchedTrials:
         rng = np.random.default_rng(TRIAL_CHANNELS.index(spec))
         for pos in range(6):
             trials = draw_trials(code, spec, 5, rng)
-            results = assert_matches_the_reference(code, recovery_for(pos), pos,
-                                                   parse_channel(spec), trials)
+            results = assert_matches_the_reference(code, recovery_for(pos), parse_channel(spec),
+                                                   trials)
             assert min(r.fidelity for r in results) >= 1 - 1e-10
 
     @pytest.mark.parametrize("name, pos", [("w5", 2)] + [
@@ -693,14 +694,14 @@ class TestBatchedTrials:
         plan = synthesize_recovery(code, pos)
         for spec in ("random:4", "leak:3,2"):
             trials = draw_trials(code, spec, 4, np.random.default_rng(pos))
-            assert_matches_the_reference(code, plan, pos, parse_channel(spec), trials)
+            assert_matches_the_reference(code, plan, parse_channel(spec), trials)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.sampled_from(TRIAL_CHANNELS))
     def test_drawn_seeds_match_the_per_trial_reference(self, seed, pos, spec):
         code = six_qubit_logical_basis()
         trials = draw_trials(code, spec, 3, np.random.default_rng(seed))
-        assert_matches_the_reference(code, recovery_for(pos), pos, parse_channel(spec), trials)
+        assert_matches_the_reference(code, recovery_for(pos), parse_channel(spec), trials)
 
     @pytest.mark.parametrize("spec", TRIAL_CHANNELS)
     def test_channel_stacks_are_the_per_seed_builds(self, spec):
@@ -715,11 +716,10 @@ class TestBatchedTrials:
         rng = np.random.default_rng(3)
         for spec in ("pauli:Y", "random:4", "leak:3,4"):
             trials = draw_trials(code, spec, 7, rng)
-            whole = assert_matches_the_reference(code, recovery_for(4), 4, parse_channel(spec),
-                                                 trials)
+            whole = assert_matches_the_reference(code, recovery_for(4), parse_channel(spec), trials)
             with monkeypatch.context() as mp:
                 mp.setattr(verify, "TRIAL_CHUNK_AMPS", 512)  # at most two trials a chunk
-                chunked = run_recovery_trials(code, recovery_for(4), 4, parse_channel(spec),
+                chunked = run_recovery_trials(code, recovery_for(4), parse_channel(spec),
                                               iter(trials))
             assert len(chunked) == len(whole)
             for got, want in zip(chunked, whole):
@@ -730,14 +730,14 @@ class TestBatchedTrials:
     def test_stacked_w_is_the_per_label_path_on_six(self, pos):
         code = six_qubit_logical_basis()
         plan = recovery_for(pos)
-        assert np.array_equal(stacked_w(code, plan, pos), per_label_w(code, plan))
+        assert np.array_equal(stacked_w(code, plan), per_label_w(code, plan))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_stacked_w_is_the_per_label_path_on_hiding(self, n):
         code = hiding_code(n)
         for pos in range(2 * n):
             plan = synthesize_recovery(code, pos)
-            assert np.array_equal(stacked_w(code, plan, pos), per_label_w(code, plan))
+            assert np.array_equal(stacked_w(code, plan), per_label_w(code, plan))
 
     def test_stacked_w_matches_the_per_label_path_without_an_encoder(self):
         rotated = locally_rotated(six_qubit_logical_basis(), np.random.default_rng(12))
@@ -745,7 +745,7 @@ class TestBatchedTrials:
         for code in (w_code(), from_file):
             for pos in range(code.n_physical):
                 plan = synthesize_recovery(code, pos)
-                got, want = stacked_w(code, plan, pos), per_label_w(code, plan)
+                got, want = stacked_w(code, plan), per_label_w(code, plan)
                 assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_refuses_a_plan_that_acts_on_the_damaged_site(self):
@@ -753,14 +753,10 @@ class TestBatchedTrials:
         code = six_qubit_logical_basis()
         channel = parse_channel("random:4")
         trials = draw_trials(code, "random:4", 3, np.random.default_rng(5))
-        with pytest.raises(ValueError, match="damaged site 0"):
-            run_recovery_trials(code, recovery_for(3), 0, channel, trials)
         for amps, seed in trials:
             event = ErasureEvent(0, channel.build(seed))
             wrong = run_recovery_trial(code, MessageState(3, amps), event, recovery_for(3))
             assert wrong.fidelity < 1 - 1e-6
-        with pytest.raises(ValueError, match="damaged site 0"):
-            run_recovery_trials(code, synthesize_recovery(code, 3), 0, channel, trials)
 
         class Opaque:
             output_register = (3, 4, 5)
@@ -768,26 +764,42 @@ class TestBatchedTrials:
             def apply(self, state):
                 return state
 
-        with pytest.raises(ValueError, match="not a RecoveryPlan for the damaged site 0"):
-            run_recovery_trials(code, Opaque(), 0, channel, trials)
+        with pytest.raises(ValueError, match="not a RecoveryPlan"):
+            run_recovery_trials(code, Opaque(), channel, trials)
+
+    @pytest.mark.parametrize("site", [6, -1])
+    def test_refuses_a_plan_whose_site_is_outside_the_code(self, site):
+        code = six_qubit_logical_basis()
+        plan = recovery_for(0)
+        outside = RecoveryPlan(site, plan.circuit, plan.output_register)
+        trials = draw_trials(code, "random:4", 1, np.random.default_rng(2))
+        with pytest.raises(ValueError, match=f"position {site} out of range for 6 sites"):
+            run_recovery_trials(code, outside, parse_channel("random:4"), trials)
+
+    def test_refuses_an_output_register_that_cannot_hold_the_message(self):
+        code = six_qubit_logical_basis()
+        short = RecoveryPlan(0, recovery_for(0).circuit, (3, 4))
+        trials = draw_trials(code, "random:4", 1, np.random.default_rng(2))
+        with pytest.raises(ValueError, match=r"output register \(3, 4\) does not hold 3"):
+            run_recovery_trials(code, short, parse_channel("random:4"), trials)
 
     def test_rejects_messages_the_code_cannot_encode(self):
         code = w_code()
         plan = synthesize_recovery(code, 2)
         channel = parse_channel("random:4")
         with pytest.raises(ValueError, match=r"encodable subspace at \[0\]"):
-            run_recovery_trials(code, plan, 2, channel, [(MessageState.basis(3, 0).amps, 1)])
+            run_recovery_trials(code, plan, channel, [(MessageState.basis(3, 0).amps, 1)])
         with pytest.raises(ValueError, match=r"encodable subspace at \[0\]"):
             code.encode(MessageState.basis(3, 0))
         with pytest.raises(ValueError, match="qubits"):
-            run_recovery_trials(code, plan, 2, channel, [(MessageState.basis(2, 0).amps, 1)])
+            run_recovery_trials(code, plan, channel, [(MessageState.basis(2, 0).amps, 1)])
 
     @pytest.mark.parametrize("amps", [np.full(8, 0.5), np.full(8, np.nan)])
     def test_rejects_messages_that_are_not_unit_vectors(self, amps):
         code = six_qubit_logical_basis()
         trials = draw_trials(code, "random:4", 2, np.random.default_rng(1)) + [(amps, 3)]
         with pytest.raises(ValueError, match="trial 2: message norm") as exc_info:
-            run_recovery_trials(code, recovery_for(0), 0, parse_channel("random:4"), trials)
+            run_recovery_trials(code, recovery_for(0), parse_channel("random:4"), trials)
         np.testing.assert_equal(reported_norm(str(exc_info.value), "message"),
                                 float(np.linalg.norm(amps)))
 
@@ -797,7 +809,7 @@ class TestBatchedTrials:
         trials = draw_trials(code, "random:4", 4, np.random.default_rng(9))
         channel = Tampered(parse_channel("random:4"), 2, damage)
         with pytest.raises(ValueError, match="trial 2: damaged state norm") as exc_info:
-            run_recovery_trials(code, recovery_for(1), 1, channel, trials)
+            run_recovery_trials(code, recovery_for(1), channel, trials)
         assert not abs(reported_norm(str(exc_info.value), "damaged state") - 1.0) <= 1e-10
 
 
