@@ -14,6 +14,7 @@ from .codes import (
     decoder_for,
     hiding_code,
     hiding_encoder,
+    hiding_recovery,
     recovery_for,
     six_qubit_encoder,
     six_qubit_logical_basis,
@@ -93,6 +94,7 @@ __all__ = [
     "fidelity_with_pure",
     "hiding_code",
     "hiding_encoder",
+    "hiding_recovery",
     "invert_circuit",
     "leakage_decoherence",
     "partial_trace",

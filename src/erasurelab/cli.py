@@ -275,6 +275,18 @@ def cmd_verify(config: RunConfig) -> tuple[int, dict]:
     return _report(config, verify.certify(build_code(config), config.tolerance).checks)
 
 
+def recovery_plan(config: RunConfig, code: codes_mod.CodeSpec) -> codes_mod.RecoveryPlan:
+    """The plan ``recover`` runs for ``config.bad_position`` of ``code``: the
+    paper's circuits for six, the Clifford circuits for hiding:n with
+    n >= 2, and a synthesized decoder for every other code (which refuses
+    the Bell pair, hiding:1, with a ``RecoverySynthesisError``)."""
+    if config.code == "six":
+        return codes_mod.recovery_for(config.bad_position)
+    if config.code.startswith("hiding:") and code.k_logical >= 2:
+        return codes_mod.hiding_recovery(code.k_logical, config.bad_position)
+    return verify.synthesize_recovery(code, config.bad_position, tolerance=config.tolerance)
+
+
 def cmd_recover(config: RunConfig) -> tuple[int, dict]:
     code = build_code(config)
     if not 0 <= config.bad_position < code.n_physical:
@@ -282,17 +294,14 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
             f"position {config.bad_position} out of range for {code.n_physical} sites"
         )
     config.channel.check_size(code.n_physical)
-    if config.code == "six":
-        plan = codes_mod.recovery_for(config.bad_position)
-    else:
-        try:
-            plan = verify.synthesize_recovery(code, config.bad_position, tolerance=config.tolerance)
-        except verify.RecoverySynthesisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            # a refusal, not a measurement: no decoder exists to measure
-            return _report(config, [CheckResult("decoder_synthesis", False, exc.worst_deviation)])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        plan = recovery_plan(config, code)
+    except verify.RecoverySynthesisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # a refusal, not a measurement: no decoder exists to measure
+        return _report(config, [CheckResult("decoder_synthesis", False, exc.worst_deviation)])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     rng = np.random.default_rng(config.seed)
     # the engine takes each trial's message and then its channel seed, so a

@@ -9,6 +9,12 @@ qubits uses sites 0..n-1 for the message and n..2n-1 for the ancillas.
 Every logical basis state of the six-qubit and hiding codes is a product of
 two identical GHZ-type blocks (|u> + s|u-complement>)/sqrt(2), one on the
 message half and one on the ancilla half.
+
+Recovery plans for one known bad site: ``recovery_for`` gives the paper's
+circuits for the six-qubit code, and ``hiding_recovery`` gives 3n - 2
+Clifford gates for every hiding code with n >= 2 (at n = 3 a second plan
+for the six-qubit code).  Erasure decoders of stabilizer codes can be
+Clifford (Gottesman, quant-ph/9705052).
 """
 
 from __future__ import annotations
@@ -294,6 +300,40 @@ def hiding_encoder(n: int) -> Circuit:
     ops += [op("H", 2 * n - 1), op("H", n - 1)]
     ops += [op("CNOT", i - 1, n + i - 1) for i in range(n, 0, -1)]
     return Circuit(ops, SiteDims.qubits(2 * n))
+
+
+def hiding_recovery(n: int, bad_position: int) -> RecoveryPlan:
+    """Decode-plus-repair plan for one bad site p of ``hiding_code(n)``,
+    n >= 2: 3n - 2 CNOT, H and CZ gates, none on p, that leave the message
+    on the intact block I and one Bell pair, the same for every message, on
+    the damaged block D.
+
+    In order of application (the circuit lists them reversed): a CNOT fan
+    from I's last site l, then H(l), folds I's GHZ block to |i>; a CNOT from
+    I's copy of each pattern bit clears it on D, except at p; a CNOT fan
+    from q, the first site of D other than p, folds D's GHZ block onto q
+    and p; CZ(l, q) removes the sign bit; and, when p carries a pattern
+    bit, a CNOT from I's copy of it onto q makes the pair on q and p the
+    same for every message.
+    """
+    if not 2 <= n <= HIDING_MAX_QUBITS:
+        raise ValueError(f"message qubit count {n} out of range 2..{HIDING_MAX_QUBITS}")
+    if not 0 <= bad_position < 2 * n:
+        raise ValueError(f"bad position {bad_position} out of range 0..{2 * n - 1}")
+    damaged = 0 if bad_position < n else n  # first site of each block
+    intact = n - damaged
+    last = intact + n - 1
+    rest = [damaged + t for t in range(n) if damaged + t != bad_position]
+    q = rest[0]
+    applied = [op("CNOT", last, intact + t) for t in range(n - 1)] + [op("H", last)]
+    applied += [op("CNOT", intact + t, damaged + t) for t in range(n - 1)
+                if damaged + t != bad_position]
+    applied += [op("CNOT", q, s) for s in rest[1:]]
+    applied.append(op("CZ", last, q))
+    if bad_position != damaged + n - 1:
+        applied.append(op("CNOT", intact + bad_position - damaged, q))
+    circuit = Circuit(reversed(applied), SiteDims.qubits(2 * n))
+    return RecoveryPlan(bad_position, circuit, range(intact, intact + n))
 
 
 def hiding_code(n: int) -> CodeSpec:

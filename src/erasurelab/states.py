@@ -101,7 +101,7 @@ class PureState:
             raise ValueError(f"basis index {index} out of range")
         amps = np.zeros(dims.total, dtype=np.complex128)
         amps[index] = 1.0
-        return cls(dims, amps)
+        return cls._over(dims, amps)
 
     @classmethod
     def from_unnormalized(cls, dims, amps) -> "PureState":
@@ -109,7 +109,13 @@ class PureState:
         norm = np.linalg.norm(amps)
         if norm < 1e-14:
             raise ValueError("cannot normalize an (almost) zero vector")
-        return cls(dims, amps / norm)
+        return cls._over(dims, amps / norm)
+
+    @classmethod
+    def _over(cls, dims, amps) -> "PureState":
+        """The state of this class over the register ``dims``, for the
+        builders above."""
+        return cls(dims, amps)
 
     @classmethod
     def random(cls, dims, rng: np.random.Generator) -> "PureState":
@@ -165,6 +171,13 @@ class MessageState(PureState):
 
     def __init__(self, n: int, amps):
         super().__init__(SiteDims.qubits(int(n)), amps)
+
+    @classmethod
+    def _over(cls, dims, amps) -> "MessageState":
+        dims = SiteDims(dims)
+        if set(dims) != {2}:
+            raise ValueError(f"a message register holds qubits only, got {tuple(dims)}")
+        return cls(len(dims), amps)
 
     @classmethod
     def basis(cls, n: int, index: int) -> "MessageState":

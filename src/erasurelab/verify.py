@@ -12,11 +12,14 @@ Three families of checks live here:
 * numerical synthesis of a recovery unitary from the same tensor, which
   refuses whenever the code cannot correct the erasure; the decoder is a
   ``RecoveryPlan`` whose circuit is one ``CUSTOM`` gate on the intact
-  sites,
+  sites.  ``recover`` synthesizes only for codes without a circuit plan
+  (w5, the Bell pair), since the dense decoder is capped at
+  ``SYNTHESIS_DIM_CAP`` rest amplitudes,
 * seeded checks through the encoder: sampled marginals of random messages,
   and encode / damage / repair trials measured by fidelity and purity, one
   trial at a time (``run_recovery_trial``) or stacked
-  (``run_recovery_trials``).
+  (``run_recovery_trials``, which builds plan∘encode densely and refuses
+  one of more than ``RECOVERY_MAP_CAP`` entries before building it).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ DEFAULT_TRIALS = 25
 DEFAULT_SEED = 42
 RANK_CUTOFF = 1e-12
 SYNTHESIS_DIM_CAP = 1024
+RECOVERY_MAP_CAP = 2**21  # entries of W = plan∘encode: hiding:7's (128, 2^14), 32 MiB
 TRIAL_CHUNK_AMPS = DEFAULT_DIMENSION_CAP // 16  # damaged amplitudes per stacked chunk
 PAULIS = np.stack([PAULI_BY_KIND[k] for k in "IXYZ"])
 PAULIS.setflags(write=False)
@@ -392,7 +396,8 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
     ``DensityMatrix`` make.  Raises ValueError for anything but a
     ``RecoveryPlan`` (which may not commute with the channel), for a bad
     position outside the code or an output register that does not hold the
-    message, or when a check fails.
+    message, before building it for a W of more than ``RECOVERY_MAP_CAP``
+    entries, or when a check fails.
     """
     if not isinstance(plan, RecoveryPlan):
         raise ValueError(f"{plan!r} is not a RecoveryPlan, so it may not commute with the "
@@ -402,6 +407,10 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
         raise ValueError(f"position {plan.bad_position} out of range for {n} sites")
     if len(plan.output_register) != k:
         raise ValueError(f"output register {plan.output_register} does not hold {k} message qubits")
+    size = len(code.message_labels) * 2**n
+    if size > RECOVERY_MAP_CAP:
+        raise ValueError(f"recovery map of {len(code.message_labels)} x 2^{n} amplitudes "
+                         f"({size}) exceeds the cap {RECOVERY_MAP_CAP}")
     w = circuit_rows(code.encoded_labels(), code.dims, plan.circuit)
     out_dim, env_dim = channel.shape
     rows = out_dim * env_dim

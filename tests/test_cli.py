@@ -19,7 +19,7 @@ from erasurelab.cli import (
     parse_channel,
     render_json,
 )
-from erasurelab.codes import CodeSpec, recovery_for, six_qubit_logical_basis, w_code
+from erasurelab.codes import CodeSpec, six_qubit_logical_basis, w_code
 from test_verify import (dense_overlaps, leaky_hiding_code, reference_block_deviation,
                          reference_kl_row, reported_norm)
 
@@ -313,7 +313,7 @@ class TestRecoverCommand:
 
     @pytest.mark.parametrize("code_name, pos, channel", [
         ("six", 2, "leak:3,4"), ("six", 5, "random:4"), ("w5", 2, "random:2"),
-        ("six", 1, "pauli:Y"), ("hiding:3", 4, "leak:4,2"),
+        ("six", 1, "pauli:Y"), ("hiding:3", 4, "leak:4,2"), ("hiding:5", 9, "random:4"),
     ])
     def test_rows_are_the_per_trial_path_on_the_same_draws(self, capsys, monkeypatch,
                                                             code_name, pos, channel):
@@ -349,8 +349,9 @@ class TestRecoverCommand:
         assert len(report["trials"]) == 12
         assert len(stacks) > 1
 
-        spec = cli.build_code(cli.RunConfig("recover", code_name, 17, 12, 1e-10))
-        plan = recovery_for(pos) if code_name == "six" else verify.synthesize_recovery(spec, pos)
+        config = cli.RunConfig("recover", code_name, 17, 12, 1e-10, bad_position=pos)
+        spec = cli.build_code(config)
+        plan = cli.recovery_plan(config, spec)
         rng = np.random.default_rng(17)
         messages, expected_seeds, columns = [], [], []
         for i, row in enumerate(report["trials"]):
@@ -389,7 +390,7 @@ class TestRecoverCommand:
 
     @pytest.mark.parametrize("argv", [
         # 512 trials of 2^9 x 2 x 16 damaged amplitudes: an unchunked stack of
-        # them alone is 128 MiB; decoder synthesis peaks at about 18 MiB
+        # them alone is 128 MiB; the whole run peaks at about 5 MiB
         ["--code", "hiding:5", "--pos", "3", "--channel", "random:16", "--trials", "512"],
         # two Haar blocks per trial, 32^2 and 16^2 entries: unchunked, the
         # channel stacks of 4096 trials alone are 80 MiB
@@ -404,6 +405,28 @@ class TestRecoverCommand:
             tracemalloc.stop()
         capsys.readouterr()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("code_name, pos", [("hiding:6", 11), ("hiding:7", 3)])
+    def test_hiding_codes_beyond_the_synthesis_cap_recover(self, capsys, code_name, pos):
+        code, report, _ = run_json(capsys, "recover", "--code", code_name, "--pos", str(pos),
+                                   "--trials", "3")
+        assert code == 0
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+            ("min_fidelity", True), ("min_purity", True)]
+
+    def test_a_recovery_map_above_the_cap_is_refused_before_it_is_built(self, capsys):
+        # hiding:8's W would be 256 x 2^16 amplitudes, 256 MiB, and the
+        # encoder pass several times that
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "recover", "--code", "hiding:8", "--pos", "0")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == ("error: recovery map of 256 x 2^16 amplitudes (16777216) exceeds "
+                       f"the cap {verify.RECOVERY_MAP_CAP}\n")
+        assert peak < 2**20
 
     def test_uncorrectable_code_fails_cleanly(self, capsys):
         # the Bell pair cannot correct an erasure; synthesis must refuse and
@@ -751,6 +774,7 @@ class TestBasisBuiltOnlyWhenRead:
     @pytest.mark.parametrize("argv, builds", [
         (["share-demo", "--code", "hiding:3"], 0),
         (["recover", "--code", "six", "--pos", "0", "--trials", "5"], 0),
+        (["recover", "--code", "hiding:4", "--pos", "5", "--trials", "5"], 0),
         (["verify", "--code", "six"], 1),
         (["verify", "--code", "hiding:4"], 1),
         (["recover", "--code", "w5", "--pos", "2", "--trials", "3"], 1),

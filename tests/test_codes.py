@@ -15,17 +15,20 @@ import pytest
 from test_gates import circuit_matrix
 
 from erasurelab.codes import (
+    HIDING_MAX_QUBITS,
     CodeSpec,
     RecoveryPlan,
     decoder_for,
     hiding_code,
     hiding_encoder,
+    hiding_recovery,
     recovery_for,
     six_qubit_encoder,
     six_qubit_logical_basis,
     w_code,
 )
-from erasurelab.gates import Circuit, apply_circuit, op
+from erasurelab.gates import Circuit, apply_circuit, circuit_rows, op
+from erasurelab.noise import ErasureEvent, apply_erasure, random_decoherence
 from erasurelab.states import (
     MessageState,
     PureState,
@@ -33,6 +36,7 @@ from erasurelab.states import (
     fidelity_with_pure,
     partial_trace,
 )
+from erasurelab.verify import synthesize_recovery
 
 # label -> (block bit pattern, sign), transcribed by hand
 GHZ_PAIRS = {
@@ -440,3 +444,98 @@ class TestCodeSpecValidation:
             msg = code.random_message(rng)
             off = [abs(msg.amps[i]) for i in range(8) if i not in (1, 2, 4)]
             assert max(off) == 0.0
+
+
+def factorization_deviation(basis: np.ndarray, plan: RecoveryPlan) -> float:
+    """max |W[i] - |i>_out (x) phi| over the rows of W, the plan run on the
+    logical ``basis`` rows (labels 0..L-1), with phi the mean of the junk
+    states W[i, i].  The plan never touches its bad site, so it commutes
+    with any error there: it undoes every such error iff this is 0."""
+    n = int(basis.shape[1]).bit_length() - 1
+    w = circuit_rows(basis, SiteDims.qubits(n), plan.circuit)
+    out = list(plan.output_register)
+    axes = [1 + s for s in out] + [1 + s for s in range(n) if s not in out]
+    w = w.reshape((len(w),) + (2,) * n).transpose([0] + axes).reshape(len(w), 2 ** len(out), -1)
+    rows = np.arange(len(w))
+    w[rows, rows] -= w[rows, rows].mean(axis=0)
+    return float(np.max(np.abs(w)))
+
+
+def reversed_fan(plan: RecoveryPlan, n: int) -> RecoveryPlan:
+    """The plan with its fan on the damaged block, CNOTs from q onto the
+    other sites of that block, turned around."""
+    block = range(0, n) if plan.bad_position < n else range(n, 2 * n)
+    q = next(s for s in block if s != plan.bad_position)
+    ops = []
+    for o in plan.circuit.ops:
+        if o.gate.kind == "CNOT" and o.targets[0] == q and o.targets[1] in block:
+            o = op("CNOT", o.targets[1], q)
+        ops.append(o)
+    return RecoveryPlan(plan.bad_position, Circuit(ops, plan.circuit.dims), plan.output_register)
+
+
+def repaired_output_states(code, plan, seed: int) -> list[np.ndarray]:
+    """Output-register states of three random messages after a random
+    channel at the plan's bad site and then the plan."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for trial in range(3):
+        event = ErasureEvent(plan.bad_position, random_decoherence(seed + trial))
+        hit = apply_erasure(code.encode(code.random_message(rng)), event)
+        states.append(partial_trace(plan.apply(hit), plan.output_register).matrix)
+    return states
+
+
+class TestHidingRecovery:
+    @pytest.mark.parametrize("n", range(2, HIDING_MAX_QUBITS + 1))
+    def test_only_cnot_h_and_cz_3n_minus_2_of_them_and_never_on_the_bad_site(self, n):
+        for p in range(2 * n):
+            plan = hiding_recovery(n, p)
+            assert {o.gate.kind for o in plan.circuit.ops} <= {"CNOT", "H", "CZ"}
+            assert len(plan.circuit) == 3 * n - 2
+            assert p not in {t for o in plan.circuit.ops for t in o.targets}
+            assert plan.bad_position == p
+            assert plan.output_register == tuple(range(n, 2 * n) if p < n else range(n))
+
+    @pytest.mark.parametrize("n, sites", [(n, range(2 * n)) for n in range(2, 7)] + [(7, [3])])
+    def test_every_row_factors_as_the_message_times_one_junk_state(self, n, sites):
+        basis = ghz_pair_oracle(n)
+        for p in sites:
+            assert factorization_deviation(basis, hiding_recovery(n, p)) <= 2e-15
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_reversed_fan_fails_the_oracle(self, n):
+        basis = ghz_pair_oracle(n)
+        for p in range(2 * n):
+            plan = hiding_recovery(n, p)
+            wrong = reversed_fan(plan, n)
+            assert [o.targets for o in wrong.circuit.ops] != [o.targets for o in plan.circuit.ops]
+            if n % 2 == 0 and p % n == n - 1:
+                # the reversed fan leaves q the parity of the other n - 1
+                # sites, which is q's own value when n - 1 is odd and p
+                # carries no pattern bit: still an exact plan
+                assert factorization_deviation(basis, wrong) <= 1e-15
+            else:
+                assert factorization_deviation(basis, wrong) > 0.3
+
+    def test_six_qubit_plans_give_the_same_output_states(self):
+        code = six_qubit_logical_basis()
+        for p in range(6):
+            want = repaired_output_states(code, recovery_for(p), 40 + p)
+            got = repaired_output_states(code, hiding_recovery(3, p), 40 + p)
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_synthesized_decoders_give_the_same_output_states(self, n):
+        code = hiding_code(n)
+        for p in range(2 * n):
+            plan = hiding_recovery(n, p)
+            syn = synthesize_recovery(code, p, output_register=plan.output_register)
+            want = repaired_output_states(code, syn, 60 + p)
+            np.testing.assert_allclose(repaired_output_states(code, plan, 60 + p), want,
+                                       atol=1e-12)
+
+    def test_range_validation(self):
+        for n, p in [(1, 0), (HIDING_MAX_QUBITS + 1, 0), (3, 6), (3, -1)]:
+            with pytest.raises(ValueError, match="out of range"):
+                hiding_recovery(n, p)

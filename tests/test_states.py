@@ -269,6 +269,19 @@ def test_a_message_is_the_pure_state_of_its_qubits():
     assert abs(fidelity_with_pure(rho, m) - 1.0) <= 1e-12
 
 
+def test_the_register_builders_give_a_message_of_that_register():
+    m = MessageState.basis_state((2, 2), 3)
+    assert type(m) is MessageState and m.n == 2
+    assert np.array_equal(m.amps, MessageState.basis(2, 3).amps)
+    u = MessageState.from_unnormalized(SiteDims.qubits(3), np.ones(8))
+    assert type(u) is MessageState and u.n == 3
+    np.testing.assert_allclose(u.amps, np.ones(8) / math.sqrt(8), atol=1e-15)
+    for build in (lambda: MessageState.basis_state((2, 3), 0),
+                  lambda: MessageState.from_unnormalized((3,), np.ones(3))):
+        with pytest.raises(ValueError, match="holds qubits only"):
+            build()
+
+
 def test_orthonormality_deviation_of_a_stack_is_its_worst_matrix():
     rng = np.random.default_rng(5)
     stack = np.linalg.qr(rng.standard_normal((4, 6, 2)))[0]
