@@ -394,8 +394,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     trials = getattr(args, "trials", None)
-    if trials is not None and trials < 1:
-        raise ConfigError("trial count must be positive")
+    if trials is not None and not 1 <= trials <= verify.TRIALS_CAP:
+        raise ConfigError(f"trial count {trials} outside 1..{verify.TRIALS_CAP}")
     tolerance = float(args.tolerance)
     if not 0 < tolerance < 1:
         raise ConfigError(f"tolerance must lie in (0, 1), got {tolerance!r}")

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .gates import Circuit, apply_circuit, circuit_rows, op
-from .states import MessageState, PureState, SiteDims
+from .states import MessageState, PureState, SiteDims, _frozen
 
 GRAM_TOL = 1e-12
 SUPPORT_TOL = 1e-12
@@ -34,18 +34,18 @@ HIDING_MAX_QUBITS = 8
 class CodeSpec:
     """A code given by its orthonormal logical basis over qubit sites.
 
-    ``basis`` is one read-only (L, 2^n) array: row j is the state that the
-    message index ``message_labels[j]`` (over k qubits) encodes to.  Codes
-    whose message space is a proper subspace (such as the five-qubit
-    single-excitation code) list only the labels they support.
-    ``logical_basis`` is that array, checked here, or a zero-argument
-    builder of it, run and checked on the first read of ``basis``.
-    ``support`` lists, sorted and read-only, the columns of ``basis`` that
-    hold a nonzero amplitude; every other column is exactly zero.
+    ``rows`` is one read-only (L, |support|) array: row j is the state that
+    the message index ``message_labels[j]`` (over k qubits) encodes to, on
+    the sorted, read-only columns ``support``; every other column is exactly
+    zero.  Codes whose message space is a proper subspace (such as the
+    five-qubit single-excitation code) list only the labels they support.
+    ``logical_basis`` is a dense (L, 2^n) array, compacted and checked here,
+    or a zero-argument builder of (rows, support), run and checked on the
+    first read of ``rows``.  ``basis`` scatters the rows to (L, 2^n).
     """
 
-    __slots__ = ("label", "n_physical", "k_logical", "message_labels", "encoder", "_basis",
-                 "_support")
+    __slots__ = ("label", "n_physical", "k_logical", "message_labels", "encoder", "_rows",
+                 "_support", "_where")
 
     def __init__(self, label, n_physical, k_logical, logical_basis, message_labels, encoder=None):
         n_physical = int(n_physical)
@@ -64,37 +64,57 @@ class CodeSpec:
         self.k_logical = k_logical
         self.message_labels = message_labels
         self.encoder = encoder
-        self._basis = logical_basis
+        self._rows = logical_basis
         if not callable(logical_basis):
-            self._basis = self._checked(np.array(logical_basis, dtype=np.complex128))
+            basis = np.array(logical_basis, dtype=np.complex128)
+            want = (len(message_labels), 2**n_physical)
+            if basis.shape != want:
+                raise ValueError(f"logical basis has shape {basis.shape}, expected {want}")
+            support = np.flatnonzero(basis.any(axis=0))  # NaN and inf count as nonzero
+            self._rows = self._checked((basis[:, support], support))
 
-    def _checked(self, basis: np.ndarray) -> np.ndarray:
-        """Freeze the basis and its support once its shape, values and Gram matrix pass."""
-        want = (len(self.message_labels), 2**self.n_physical)
-        if basis.shape != want:
-            raise ValueError(f"logical basis has shape {basis.shape}, expected {want}")
-        if not np.isfinite(basis).all():
+    def _checked(self, compact) -> np.ndarray:
+        """Check the support, then the rows' shape, values and Gram matrix; keep the
+        rows with a trailing zero column and each column's row position, -1 off support."""
+        rows, support = compact
+        support, dim = np.array(support, dtype=np.intp), 2**self.n_physical
+        if not (support.ndim == 1 and (support[1:] > support[:-1]).all()
+                and (not support.size or 0 <= support[0] and support[-1] < dim)):
+            raise ValueError(f"support is not a sorted list of distinct columns in 0..{dim - 1}")
+        want = (len(self.message_labels), len(support))
+        if np.shape(rows) != want:
+            raise ValueError(f"logical basis rows have shape {np.shape(rows)}, expected {want}")
+        padded = np.concatenate([rows, np.zeros((want[0], 1))], axis=1, dtype=np.complex128)
+        rows = padded[:, :-1]
+        if not np.isfinite(rows).all():
             raise ValueError("logical basis has non-finite amplitudes")
-        support = np.flatnonzero(basis.any(axis=0))
-        rows = basis[:, support]  # the other columns are exactly zero
-        dev = float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(basis)))))
+        dev = float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows)))))
         if not dev <= GRAM_TOL:
             raise ValueError(f"logical basis is not orthonormal (deviation {dev:.3e})")
-        basis.setflags(write=False)
-        support.setflags(write=False)
-        self._support = support
-        return basis
+        where = np.full(dim, -1, dtype=np.intp)
+        where[support] = np.arange(len(support))
+        self._support, self._where = _frozen(support), _frozen(where)
+        return _frozen(padded)
 
     @property
-    def basis(self) -> np.ndarray:
-        if callable(self._basis):
-            self._basis = self._checked(np.asarray(self._basis(), dtype=np.complex128))
-        return self._basis
+    def rows(self) -> np.ndarray:
+        if callable(self._rows):
+            self._rows = self._checked(self._rows())
+        return self._rows[:, :-1]
 
     @property
     def support(self) -> np.ndarray:
-        _ = self.basis  # a builder runs, and so sets the support, on the first read
+        _ = self.rows  # a builder runs, and so sets the support, on the first read
         return self._support
+
+    def columns(self, cols) -> np.ndarray:
+        """``basis[:, cols]`` for ``cols`` of any shape; a column off the support reads zeros."""
+        _ = self.rows
+        return self._rows.take(self._where[cols], axis=1)  # C-ordered, so reshapes are views
+
+    @property
+    def basis(self) -> np.ndarray:
+        return _frozen(self.columns(np.arange(2**self.n_physical)))
 
     @property
     def logical_basis(self) -> tuple[PureState, ...]:
@@ -189,20 +209,23 @@ class RecoveryPlan:
         return f"RecoveryPlan(bad_position={self.bad_position})"
 
 
-def _ghz_pair_basis(n: int) -> np.ndarray:
-    """Logical states indexed 0..2^n-1: two copies of the GHZ block
+def _ghz_pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Logical states indexed 0..2^n-1, compact: two copies of the GHZ block
     (|u> + s|u~>)/sqrt(2) whose pattern u is the message index with its last
-    bit cleared and whose sign s is set by that bit.  Each row's 4 entries
-    are products of block amplitudes, exactly as a kron of the blocks."""
+    bit cleared and whose sign s is set by that bit.  Column a<<n | b, b in
+    {a, a~}, sits at position 2a + (top bit of b).  Each row's 4 entries are
+    products of block amplitudes, exactly as a kron of the blocks."""
     h = 1 / math.sqrt(2)
     i = np.arange(2**n)
     u = i & ~1
     block = ((u, h), (2**n - 1 - u, np.where(i & 1, -h, h)))  # (pattern, amplitude)
-    basis = np.zeros((2**n, 4**n), dtype=np.complex128)
+    rows = np.zeros((2**n, 2 ** (n + 1)), dtype=np.complex128)
+    support = np.empty(2 ** (n + 1), dtype=np.intp)
     for a, x in block:
         for b, y in block:
-            basis[i, a << n | b] = x * y
-    return basis
+            at = 2 * a + (b >> (n - 1))
+            rows[i, at], support[at] = x * y, a << n | b
+    return rows, support
 
 
 def six_qubit_encoder() -> Circuit:
@@ -216,7 +239,7 @@ def six_qubit_logical_basis() -> CodeSpec:
         label="six-qubit-erasure",
         n_physical=6,
         k_logical=3,
-        logical_basis=lambda: _ghz_pair_basis(3),
+        logical_basis=lambda: _ghz_pair_rows(3),
         message_labels=range(8),
         encoder=six_qubit_encoder(),
     )
@@ -273,10 +296,9 @@ def w_code() -> CodeSpec:
     labels = sorted(_W_IMAGES)
 
     def basis():
-        rows = np.zeros((len(labels), 32), dtype=np.complex128)
-        for row, m in enumerate(labels):
-            rows[row, list(_W_IMAGES[m])] = 1 / math.sqrt(2)
-        return rows
+        support = sorted(c for m in labels for c in _W_IMAGES[m])
+        rows = np.array([[c in _W_IMAGES[m] for c in support] for m in labels]) / math.sqrt(2)
+        return rows, support
 
     return CodeSpec(
         label="w5",
@@ -352,7 +374,7 @@ def hiding_code(n: int) -> CodeSpec:
             label="hiding-1",
             n_physical=2,
             k_logical=1,
-            logical_basis=lambda: np.array([[1, 0, 0, 1], [1, 0, 0, -1]]) / math.sqrt(2),
+            logical_basis=lambda: (np.array([[1, 1], [1, -1]]) / math.sqrt(2), [0, 3]),
             message_labels=(0, 1),
             encoder=encoder,
         )
@@ -362,7 +384,7 @@ def hiding_code(n: int) -> CodeSpec:
         label=f"hiding-{n}",
         n_physical=2 * n,
         k_logical=n,
-        logical_basis=lambda: _ghz_pair_basis(n),
+        logical_basis=lambda: _ghz_pair_rows(n),
         message_labels=range(2**n),
         encoder=hiding_encoder(n),
     )

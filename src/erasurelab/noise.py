@@ -75,10 +75,7 @@ def random_decoherence(seed, env_dim: int = DEFAULT_ENV_DIM) -> DecoherenceIsome
     """Seeded generic entangling channel: two orthonormal columns of a Haar
     unitary on qubit x environment.  env_dim=1 degenerates to a random
     single-qubit unitary."""
-    if env_dim < 1:
-        raise ValueError("environment dimension must be at least 1")
-    u = haar_unitary(2 * env_dim, np.random.default_rng(seed))
-    return DecoherenceIsometry(env_dim, 2, u[:, :2])
+    return DecoherenceIsometry(env_dim, 2, decoherence_columns([seed], env_dim)[0])
 
 
 def leakage_decoherence(
@@ -96,25 +93,7 @@ def leakage_decoherence(
     """
     if leak_dim < 3:
         raise ValueError("leakage needs at least 3 site levels")
-    if env_dim < 1:
-        raise ValueError("environment dimension must be at least 1")
-    rng = np.random.default_rng(seed)
-    qubit_block = haar_unitary(2 * env_dim, rng)[:, :2]
-    if leak_weight is None:
-        leak_weight = float(rng.uniform())
-    if not 0.0 <= leak_weight <= 1.0:
-        raise ValueError(f"leak weight {leak_weight} outside [0, 1]")
-    leak_levels = (leak_dim - 2) * env_dim
-    columns = np.zeros((leak_dim * env_dim, 2), dtype=np.complex128)
-    columns[: 2 * env_dim] = np.sqrt(1.0 - leak_weight) * qubit_block
-    if leak_weight > 0.0:
-        if leak_levels < 2:
-            raise ValueError(
-                "leaked subspace too small for two orthonormal images; "
-                f"need (leak_dim - 2) * env_dim >= 2, got {leak_levels}"
-            )
-        leak_block = haar_unitary(leak_levels, rng)[:, :2]
-        columns[2 * env_dim :] = np.sqrt(leak_weight) * leak_block
+    columns = decoherence_columns([seed], env_dim, leak_dim, leak_weight)[0]
     return DecoherenceIsometry(env_dim, leak_dim, columns)
 
 
@@ -126,11 +105,11 @@ def decoherence_columns(
 ) -> np.ndarray:
     """The columns of ``random_decoherence`` (``leak_dim`` 2) or of
     ``leakage_decoherence`` for every seed, as one (T, leak_dim * env_dim, 2)
-    stack.
+    stack: each builder is this function on one seed.
 
-    Each seed gets its own generator and the same draws, in the same order,
-    as there, so row t equals that builder's columns for ``seeds[t]``.  Each
-    Haar block is one batched QR, and one isometry check covers the stack.
+    Each seed gets its own generator, so row t does not depend on the other
+    seeds.  Each Haar block is one batched QR, and one isometry check covers
+    the stack.
     """
     if env_dim < 1:
         raise ValueError("environment dimension must be at least 1")
@@ -150,10 +129,8 @@ def decoherence_columns(
         if leaky.any():
             leak_levels = (leak_dim - 2) * env_dim
             if leak_levels < 2:
-                raise ValueError(
-                    "leaked subspace too small for two orthonormal images; "
-                    f"need (leak_dim - 2) * env_dim >= 2, got {leak_levels}"
-                )
+                raise ValueError("leaked subspace too small for two orthonormal images; "
+                                 f"need (leak_dim - 2) * env_dim >= 2, got {leak_levels}")
             leak_block = haar_unitary(leak_levels, [g for g, x in zip(rngs, leaky) if x])
             columns[leaky, 2 * env_dim :] = (np.sqrt(weights[leaky])[:, None, None]
                                              * leak_block[..., :2])

@@ -187,6 +187,8 @@ class MessageState(PureState):
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "MessageState":
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"MessageState.random(n, rng) takes a qubit count n >= 1, got {n!r}")
         z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         return cls(n, z / np.linalg.norm(z))
 

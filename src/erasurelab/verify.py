@@ -3,12 +3,11 @@
 Three families of checks live here:
 
 * exact per-site certificates, all contractions of one sector-overlap
-  tensor (``sector_overlaps``): the pairwise error-correction conditions
-  for a general operator set, the single-operator form for an erasure at a
-  known position, and maximally mixed single-site marginals (``certify``
-  gives all three at every site, from one Pauli contraction and one block
-  check), computed on the code's support only: about 0.12 s on hiding:7 and
-  0.8 s on hiding:8 (one core, one BLAS thread),
+  tensor (``sector_overlaps``) gathered from the code's compact rows: the
+  pairwise error-correction conditions for a general operator set, the
+  single-operator form for an erasure at a known position, and maximally
+  mixed single-site marginals (``certify`` gives all three at every site,
+  from one Pauli contraction and one block check),
 * numerical synthesis of a recovery unitary from the same tensor, which
   refuses whenever the code cannot correct the erasure; the decoder is a
   ``RecoveryPlan`` whose circuit is one ``CUSTOM`` gate on the intact
@@ -42,6 +41,7 @@ DEFAULT_SEED = 42
 RANK_CUTOFF = 1e-12
 SYNTHESIS_DIM_CAP = 1024
 RECOVERY_MAP_CAP = 2**21  # entries of W = plan∘encode: hiding:7's (128, 2^14), 32 MiB
+TRIALS_CAP = 100_000  # recover --trials: the report keeps one row per trial
 TRIAL_CHUNK_AMPS = DEFAULT_DIMENSION_CAP // 16  # damaged amplitudes per stacked chunk
 PAULIS = np.stack([PAULI_BY_KIND[k] for k in "IXYZ"])
 PAULIS.setflags(write=False)
@@ -133,8 +133,7 @@ def _sectors(code: CodeSpec, position: int, columns: np.ndarray) -> np.ndarray:
     hit = np.zeros(2**n, dtype=bool)  # not np.unique: its first call imports numpy.ma (1.3 MB)
     hit[columns & ~bit] = True  # the a = 0 column of each r
     cols = np.flatnonzero(hit)
-    basis = code.basis
-    return basis[:, np.stack([cols, cols | bit])].reshape(2 * len(basis), -1)
+    return code.columns(np.stack([cols, cols | bit])).reshape(2 * len(code.message_labels), -1)
 
 
 def sector_overlaps(code: CodeSpec, position: int) -> np.ndarray:

@@ -414,6 +414,26 @@ class TestRecoverCommand:
         assert [(c["name"], c["pass"]) for c in report["checks"]] == [
             ("min_fidelity", True), ("min_purity", True)]
 
+    @pytest.mark.parametrize("trials", [str(verify.TRIALS_CAP + 1), "100000000000000000000"])
+    def test_a_trial_count_above_the_cap_is_refused_before_anything_is_drawn(
+            self, monkeypatch, capsys, trials):
+        def never(*args, **kwargs):
+            raise AssertionError("the trial count was not refused first")
+
+        monkeypatch.setattr(verify, "run_recovery_trials", never)
+        monkeypatch.setattr(CodeSpec, "random_amplitudes", never)
+        monkeypatch.setattr(np.random, "default_rng", never)
+        code, out, err = run(capsys, "recover", "--pos", "0", "--trials", trials)
+        assert code == 2 and out == ""
+        assert err == f"error: trial count {trials} outside 1..{verify.TRIALS_CAP}\n"
+
+    def test_the_trial_cap_is_well_above_every_count_in_use(self):
+        # tests/test_cli.py runs 4,096 trials, the benchmark 100, the timings 1,000
+        assert verify.TRIALS_CAP >= 10 * 4096
+        args = cli.build_parser().parse_args(
+            ["recover", "--pos", "0", "--trials", str(verify.TRIALS_CAP)])
+        assert cli._config_from_args(args).trials == verify.TRIALS_CAP
+
     def test_a_recovery_map_above_the_cap_is_refused_before_it_is_built(self, capsys):
         # hiding:8's W would be 256 x 2^16 amplitudes, 256 MiB, and the
         # encoder pass several times that
@@ -770,6 +790,29 @@ class TestBasisBuiltOnlyWhenRead:
             tracemalloc.stop()
         capsys.readouterr()
         assert peak < 64 * 2**20  # the basis alone is 256 x 2^16 complex, 256 MiB
+
+    def test_verify_hiding_8_stays_small(self, capsys):
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--code", "hiding:8"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 64 * 2**20  # the dense basis alone would be 256 MiB
+
+    def test_verify_never_builds_the_dense_basis(self, monkeypatch, capsys, tmp_path):
+        def refuse(self):
+            raise AssertionError("verify built the dense basis")
+
+        path = tmp_path / "w5.json"
+        path.write_text(json.dumps(code_to_json_dict(w_code())), encoding="utf-8")
+        monkeypatch.setattr(CodeSpec, "basis", property(refuse))
+        monkeypatch.setattr(CodeSpec, "logical_basis", property(refuse))
+        for argv in (["--code", "six"], ["--code", "w5"], ["--code", "hiding:5"],
+                     ["--code-file", str(path)]):
+            assert main(["verify", *argv]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("argv, builds", [
         (["share-demo", "--code", "hiding:3"], 0),

@@ -418,18 +418,19 @@ class TestCodeSpecValidation:
     def test_builder_runs_once_on_first_read_and_is_checked(self):
         calls = []
 
-        def build(rows):
+        def build(rows, support):
             calls.append(1)
-            return rows
+            return rows, support
 
-        code = CodeSpec("lazy", 2, 1, lambda: build(np.eye(4, dtype=complex)[[0, 3]]), (0, 1))
+        code = CodeSpec("lazy", 2, 1, lambda: build(np.eye(2, dtype=complex), [0, 3]), (0, 1))
         assert calls == []
-        assert code.basis is code.basis
+        assert np.array_equal(code.rows, code.rows)
         assert calls == [1]
-        assert not code.basis.flags.writeable
-        bad = CodeSpec("lazy-bad", 2, 1, lambda: build(np.ones((2, 4), dtype=complex)), (0, 1))
+        assert not code.rows.flags.writeable
+        assert np.array_equal(code.basis, np.eye(4)[[0, 3]])
+        bad = CodeSpec("lazy-bad", 2, 1, lambda: build(np.ones((2, 2)), [0, 3]), (0, 1))
         with pytest.raises(ValueError, match="orthonormal"):
-            bad.basis
+            bad.rows
 
     def test_logical_basis_gives_the_rows_as_states(self):
         code = w_code()

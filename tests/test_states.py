@@ -290,3 +290,24 @@ def test_orthonormality_deviation_of_a_stack_is_its_worst_matrix():
     assert orthonormality_deviation(stack[:2]) <= 1e-14
     stack[3, 0, 1] = np.nan
     assert math.isnan(orthonormality_deviation(stack))
+
+
+def test_random_message_keeps_its_draws_for_a_seed():
+    # the amplitudes MessageState.random(3, rng) drew before it checked its count
+    m = MessageState.random(3, np.random.default_rng(2024))
+    assert type(m) is MessageState and m.n == 3
+    assert m.amps.tolist() == [
+        (0.24359865402029116+0.42861465035154794j), (0.3887513628403209+0.17777444469770423j),
+        (0.2715045610528482+0.15147351413002447j), (-0.23041613084543186-0.17315254078236245j),
+        (-0.32976815083474703-0.26227008403596946j), (0.015909833587945774+0.3514572452666107j),
+        (0.203938885535637+0.011580809590035839j), (0.12055828364860498+0.19214063025868297j),
+    ]
+    assert MessageState.random(np.int64(2), np.random.default_rng(1)).n == 2
+
+
+@pytest.mark.parametrize("n", [(2, 2), SiteDims.qubits(2), 2.0, "2", True, 0, -1, None])
+def test_random_message_refuses_anything_but_a_qubit_count(n):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"MessageState.random\(n, rng\) takes a qubit count n"):
+        MessageState.random(n, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
