@@ -138,9 +138,12 @@ class CodeSpec:
                              f"{np.flatnonzero(stray.any(axis=0)).tolist()}")
 
     def logical_combination(self, message: MessageState) -> PureState:
-        """Encode by expanding the message directly in the logical basis."""
+        """Encode by expanding the message directly in the logical basis: one
+        product with the rows, scattered onto the support."""
         self._check_support(message.amps)
-        return PureState(self.dims, message.amps[list(self.message_labels)] @ self.basis)
+        amps = np.zeros(2**self.n_physical, dtype=np.complex128)
+        amps[self.support] = message.amps[list(self.message_labels)] @ self.rows
+        return PureState(self.dims, amps)
 
     def encode(self, message: MessageState) -> PureState:
         """Encode through the encoding circuit when one exists, else the basis."""

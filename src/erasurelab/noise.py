@@ -75,7 +75,10 @@ def random_decoherence(seed, env_dim: int = DEFAULT_ENV_DIM) -> DecoherenceIsome
     """Seeded generic entangling channel: two orthonormal columns of a Haar
     unitary on qubit x environment.  env_dim=1 degenerates to a random
     single-qubit unitary."""
-    return DecoherenceIsometry(env_dim, 2, decoherence_columns([seed], env_dim)[0])
+    if env_dim < 1:
+        raise ValueError("environment dimension must be at least 1")
+    u = haar_unitary(2 * env_dim, np.random.default_rng(seed))
+    return DecoherenceIsometry(env_dim, 2, u[:, :2])
 
 
 def leakage_decoherence(
@@ -93,7 +96,25 @@ def leakage_decoherence(
     """
     if leak_dim < 3:
         raise ValueError("leakage needs at least 3 site levels")
-    columns = decoherence_columns([seed], env_dim, leak_dim, leak_weight)[0]
+    if env_dim < 1:
+        raise ValueError("environment dimension must be at least 1")
+    rng = np.random.default_rng(seed)
+    qubit_block = haar_unitary(2 * env_dim, rng)[:, :2]
+    if leak_weight is None:
+        leak_weight = float(rng.uniform())
+    if not 0.0 <= leak_weight <= 1.0:
+        raise ValueError(f"leak weight {leak_weight} outside [0, 1]")
+    leak_levels = (leak_dim - 2) * env_dim
+    columns = np.zeros((leak_dim * env_dim, 2), dtype=np.complex128)
+    columns[: 2 * env_dim] = np.sqrt(1.0 - leak_weight) * qubit_block
+    if leak_weight > 0.0:
+        if leak_levels < 2:
+            raise ValueError(
+                "leaked subspace too small for two orthonormal images; "
+                f"need (leak_dim - 2) * env_dim >= 2, got {leak_levels}"
+            )
+        leak_block = haar_unitary(leak_levels, rng)[:, :2]
+        columns[2 * env_dim :] = np.sqrt(leak_weight) * leak_block
     return DecoherenceIsometry(env_dim, leak_dim, columns)
 
 
@@ -105,11 +126,11 @@ def decoherence_columns(
 ) -> np.ndarray:
     """The columns of ``random_decoherence`` (``leak_dim`` 2) or of
     ``leakage_decoherence`` for every seed, as one (T, leak_dim * env_dim, 2)
-    stack: each builder is this function on one seed.
+    stack.
 
-    Each seed gets its own generator, so row t does not depend on the other
-    seeds.  Each Haar block is one batched QR, and one isometry check covers
-    the stack.
+    Each seed gets its own generator and the same draws, in the same order,
+    as there, so row t equals that builder's columns for ``seeds[t]``.  Each
+    Haar block is one batched QR, and one isometry check covers the stack.
     """
     if env_dim < 1:
         raise ValueError("environment dimension must be at least 1")
@@ -129,8 +150,10 @@ def decoherence_columns(
         if leaky.any():
             leak_levels = (leak_dim - 2) * env_dim
             if leak_levels < 2:
-                raise ValueError("leaked subspace too small for two orthonormal images; "
-                                 f"need (leak_dim - 2) * env_dim >= 2, got {leak_levels}")
+                raise ValueError(
+                    "leaked subspace too small for two orthonormal images; "
+                    f"need (leak_dim - 2) * env_dim >= 2, got {leak_levels}"
+                )
             leak_block = haar_unitary(leak_levels, [g for g, x in zip(rngs, leaky) if x])
             columns[leaky, 2 * env_dim :] = (np.sqrt(weights[leaky])[:, None, None]
                                              * leak_block[..., :2])

@@ -427,9 +427,7 @@ class TestRecoverCommand:
         assert code == 2 and out == ""
         assert err == f"error: trial count {trials} outside 1..{verify.TRIALS_CAP}\n"
 
-    def test_the_trial_cap_is_well_above_every_count_in_use(self):
-        # tests/test_cli.py runs 4,096 trials, the benchmark 100, the timings 1,000
-        assert verify.TRIALS_CAP >= 10 * 4096
+    def test_a_trial_count_at_the_cap_is_accepted(self):
         args = cli.build_parser().parse_args(
             ["recover", "--pos", "0", "--trials", str(verify.TRIALS_CAP)])
         assert cli._config_from_args(args).trials == verify.TRIALS_CAP

@@ -103,15 +103,15 @@ class TestRowsAreTheSupportColumns:
             n, n_rows = code.n_physical, len(code.message_labels)
             support = code.support
             nonzero = np.zeros(2**n, dtype=bool)
+            sectors = [verify._sectors(code, p, support) for p in range(n)]
             step = max(1, CHUNK_AMPS // 2**n)
             for first in range(0, n_rows, step):
                 dense = oracle(first, first + step)
                 last = first + len(dense)
                 nonzero |= dense.any(axis=0)
                 assert_same_bits(code.rows[first:last], dense[:, support])
-                for p in range(n):
-                    assert_same_bits(verify._sectors(code, p, support)[2 * first:2 * last],
-                                     dense_sectors(dense, n, p, support))
+                for p, split in enumerate(sectors):
+                    assert_same_bits(split[2 * first:2 * last], dense_sectors(dense, n, p, support))
             np.testing.assert_array_equal(support, np.flatnonzero(nonzero), err_msg=name)
             assert not code.rows.flags.writeable and not code.support.flags.writeable
 
@@ -136,6 +136,23 @@ class TestRowsAreTheSupportColumns:
             if code.n_physical <= 12:
                 assert_same_bits(code.basis, oracle(0, None))
                 assert not code.basis.flags.writeable
+
+    def test_logical_combination_is_the_product_with_the_dense_oracle(self, code_files,
+                                                                      monkeypatch):
+        # the product runs over |support| columns, not 2^n, so BLAS may round
+        # the last bit differently; every CLI report keeps its bytes
+        def refuse(self):
+            raise AssertionError("logical_combination built the dense basis")
+
+        monkeypatch.setattr(CodeSpec, "basis", property(refuse))
+        rng = np.random.default_rng(5)
+        for name, code, oracle in codes_and_oracles(code_files):
+            if code.n_physical <= 12:
+                message = code.random_message(rng)
+                want = message.amps[list(code.message_labels)] @ oracle(0, None)
+                got = code.logical_combination(message).amps
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=name)
+                assert not got[np.setdiff1d(np.arange(2**code.n_physical), code.support)].any()
 
     def test_columns_reads_zeros_off_the_support(self):
         code = six_qubit_logical_basis()
