@@ -88,6 +88,8 @@ class CodeSpec:
         rows = padded[:, :-1]
         if not np.isfinite(rows).all():
             raise ValueError("logical basis has non-finite amplitudes")
+        if (np.abs(rows) > 1 + GRAM_TOL).any():  # before the Gram product can overflow
+            raise ValueError("logical basis is not orthonormal: an amplitude has modulus above 1")
         dev = float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows)))))
         if not dev <= GRAM_TOL:
             raise ValueError(f"logical basis is not orthonormal (deviation {dev:.3e})")

@@ -7,7 +7,7 @@ Three families of checks live here:
   pairwise error-correction conditions for a general operator set, the
   single-operator form for an erasure at a known position, and maximally
   mixed single-site marginals (``certify`` gives all three at every site,
-  from one Pauli contraction and one block check),
+  for sparse codes from every site's stored entries, ``overlap_entries``),
 * numerical synthesis of a recovery unitary from the same tensor, which
   refuses whenever the code cannot correct the erasure; the decoder is a
   ``RecoveryPlan`` whose circuit is one ``CUSTOM`` gate on the intact
@@ -153,17 +153,6 @@ def sector_overlaps(code: CodeSpec, position: int) -> np.ndarray:
     return (sectors.conj() @ sectors.T).reshape(n_logical, 2, n_logical, 2)
 
 
-def _delta_deviation(m: np.ndarray, side: int) -> float:
-    """Largest distance from (constant * identity) of a stack of side x side
-    matrices, each flattened to one row of ``m``.  NaN anywhere gives NaN,
-    which fails every tolerance."""
-    diag = m[:, :: side + 1]
-    off = np.abs(m)
-    off[:, :: side + 1] = 0  # a NaN there still reaches the spread
-    spread = np.abs(diag[:, :, None] - diag[:, None, :])
-    return float(np.maximum(off.max(), spread.max()))
-
-
 def _block_deviation(overlaps: np.ndarray, g: np.ndarray) -> float:
     """max |O[i, :, j, :] - delta_ij g|.  NaN anywhere gives NaN."""
     dev = overlaps.copy()
@@ -172,10 +161,16 @@ def _block_deviation(overlaps: np.ndarray, g: np.ndarray) -> float:
 
 
 def _kl_row(name: str, overlaps: np.ndarray, ops: np.ndarray, tolerance: float) -> CheckResult:
-    """<i|M|j> must be delta_ij times a constant, for every M in ``ops``."""
+    """<i|M|j> must be delta_ij times a constant, for every M in ``ops``: the
+    row is the larger of max |<i|M|j>| over i != j and max |<i|M|i> -
+    <j|M|j>|.  NaN anywhere gives NaN, which fails every tolerance."""
     side = overlaps.shape[0]
     m = ops.reshape(len(ops), 4) @ overlaps.transpose(1, 3, 0, 2).reshape(4, side * side)
-    return CheckResult.within(name, _delta_deviation(m, side), tolerance)
+    diag = m[:, :: side + 1]
+    off = np.abs(m)
+    off[:, :: side + 1] = 0  # a NaN there still reaches the spread
+    spread = np.abs(diag[:, :, None] - diag[:, None, :])
+    return CheckResult.within(name, np.maximum(off.max(), spread.max()), tolerance)
 
 
 def _pair_products(operators) -> np.ndarray:
@@ -206,24 +201,86 @@ def check_erasure_kl(
     return VerificationReport(checks=(check,), tolerance=tolerance)
 
 
+def overlap_entries(code: CodeSpec, max_pairs: float = np.inf):
+    """The stored entries of ``sector_overlaps`` at every site at once: the
+    ascending keys ((p * L + i) * L + j) * 4 + 2a + b of O[i, a, j, b] at site
+    p and their values, or None if they take more than ``max_pairs`` pairs.
+
+    The nonzeros (i, s, v) of ``code.rows`` meet in O only within one rest
+    column r = support[s] & ~bit_p of a site's split, so each such group adds
+    conj(v) v' for every ordered pair of its nonzeros, and equal keys are
+    merged; every entry not stored is exactly 0."""
+    n, rows, n_logical = code.n_physical, code.rows, len(code.message_labels)
+    i, s = rows.nonzero()
+    # a site puts its nonzeros in at most |support| groups: n nnz^2 / |support| pairs at least
+    if n * len(s) ** 2 > max_pairs * len(code.support):
+        return None
+    bit = 1 << np.arange(n - 1, -1, -1)[:, None]  # site p holds bit n - 1 - p of a column
+    col = code.support[s]
+    group = ((np.arange(n)[:, None] << n) | (col & ~bit)).ravel()
+    order = group.argsort(kind="stable")  # each group in ascending x = 2i + a, a the bit at p
+    group = group[order]
+    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    sizes = np.diff(starts, append=len(order))
+    per = sizes.repeat(sizes)  # the pairs each nonzero starts, as the left one
+    if per.sum() > max_pairs:
+        return None
+    x, v = (2 * i + (col & bit > 0)).ravel()[order], rows[i, s][order % len(s)]
+    left = np.arange(len(order)).repeat(per)
+    right = (starts.repeat(sizes) - per.cumsum() + per).repeat(per) + np.arange(len(left))
+    xl, xr = x[left], x[right]
+    keys = ((order[left] // len(s) * n_logical + xl // 2) * n_logical + xr // 2) * 4
+    keys += 2 * (xl % 2) + xr % 2
+    order = keys.argsort(kind="stable")  # not np.unique: its first call imports numpy.ma
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat((v[left].conj() * v[right])[order], first)
+
+
 def certify(code: CodeSpec, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
-    """Every certificate at every site from one sector-overlap tensor per
-    site: the pairwise Pauli conditions (``kl_general_pos*``), the erasure
-    conditions (``erasure_kl_pos*``) and exact marginal hiding
-    (``hiding_site*``), in that order.  Each product P_a^dag P_b is a unit
-    phase times a Pauli, so both KL rows carry the one Pauli contraction's
-    worst deviation."""
-    kl, erasure, hiding = [], [], []
-    for p in range(code.n_physical):
-        overlaps = sector_overlaps(code, p)
-        row = _kl_row(f"erasure_kl_pos{p}", overlaps, PAULIS, tolerance)
-        kl.append(CheckResult(f"kl_general_pos{p}", row.passed, row.worst_deviation))
-        erasure.append(row)
-        # Tr_rest |j><i| at the site is O[i, :, j, :] transposed, so every
-        # encoded message has marginal I/2 iff O = delta_ij I/2
-        hiding.append(CheckResult.within(f"hiding_site{p}",
-                                         _block_deviation(overlaps, np.eye(2) / 2), tolerance))
-    return VerificationReport(checks=tuple(kl + erasure + hiding), tolerance=tolerance)
+    """Every certificate at every site: the pairwise Pauli conditions
+    (``kl_general_pos*``), the erasure conditions (``erasure_kl_pos*``) and
+    exact marginal hiding (``hiding_site*``), in that order.  Each product
+    P_a^dag P_b is a unit phase times a Pauli, so both KL rows carry the one
+    Pauli contraction's worst deviation.  NaN in a site's O fails its rows.
+
+    A code whose splits pair up at most L n |support| nonzeros, no more than
+    all dense splits hold, is certified from the stored entries of every
+    site's O at once, as a 2x2 block B = O[i, :, j, :] per stored (i, j)
+    (each site stores all L diagonal ones: every row has a nonzero).  Any
+    other code takes one dense sector-overlap tensor per site."""
+    n, n_logical = code.n_physical, len(code.message_labels)
+    if (entries := overlap_entries(code, n_logical * n * len(code.support))) is not None:
+        keys, values = entries
+        pairs = keys >> 2  # (p * L + i) * L + j
+        new = np.concatenate(([True], pairs[1:] != pairs[:-1]))  # each block's first entry
+        blocks = np.zeros((np.count_nonzero(new), 4), dtype=np.complex128)
+        blocks[new.cumsum() - 1, keys & 3] = values
+        pairs = pairs[new]
+        diag = pairs // n_logical % n_logical == pairs % n_logical
+        paulis = PAULIS.reshape(4, 4)
+        m = blocks @ paulis.T  # <i|P|j>
+        off = np.where(diag, 0, np.abs(m).max(axis=1))  # max |<i|P|j>| over i != j
+        dev = np.abs(blocks - diag[:, None] * paulis[0] / 2).max(axis=1)  # |B - delta_ij I/2|
+        sites = np.searchsorted(pairs, np.arange(n) * n_logical**2)  # each site's first block
+        worst = np.maximum.reduceat(np.stack([off, dev], axis=1), sites)
+        # bounds max |<i|P|i> - <j|P|j>| above; equal to it when each <i|P|i> is real
+        d = m[diag].reshape(n, n_logical, 4)
+        spread = np.hypot(np.ptp(d.real, axis=1), np.ptp(d.imag, axis=1))
+        kl, hiding = np.maximum(worst[:, 0], spread.max(axis=1)), worst[:, 1]
+    else:
+        kl, hiding = [], []
+        for p in range(n):
+            overlaps = sector_overlaps(code, p)
+            kl.append(_kl_row(f"erasure_kl_pos{p}", overlaps, PAULIS, tolerance).worst_deviation)
+            # Tr_rest |j><i| at the site is O[i, :, j, :] transposed, so every
+            # encoded message has marginal I/2 iff O = delta_ij I/2
+            hiding.append(_block_deviation(overlaps, np.eye(2) / 2))
+    rows = (("kl_general_pos", kl), ("erasure_kl_pos", kl), ("hiding_site", hiding))
+    return VerificationReport(checks=tuple(CheckResult.within(f"{name}{p}", deviation, tolerance)
+                                           for name, column in rows
+                                           for p, deviation in enumerate(column)),
+                              tolerance=tolerance)
 
 
 def _complete_orthonormal_basis(cols: np.ndarray) -> np.ndarray:

@@ -140,6 +140,19 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning may reach stderr first
+    @pytest.mark.parametrize("amplitude", [[1e200, 0], [1e308, 0], [0, -1e308], [1.7e308, 1.7e308]])
+    def test_an_overflowing_amplitude_is_a_bad_configuration(self, capsys, tmp_path, amplitude):
+        doc = code_to_json_dict(six_qubit_logical_basis())
+        doc["logical_basis"][0][0] = amplitude
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--code-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: invalid code: logical basis is not orthonormal: an amplitude "
+                       "has modulus above 1\n")
+
     def test_nan_in_a_column_outside_the_support_is_a_bad_configuration(self, capsys,
                                                                         tmp_path):
         doc = code_to_json_dict(six_qubit_logical_basis())
@@ -798,6 +811,15 @@ class TestBasisBuiltOnlyWhenRead:
             tracemalloc.stop()
         capsys.readouterr()
         assert peak < 64 * 2**20  # the dense basis alone would be 256 MiB
+
+    @pytest.mark.parametrize("name", ["six"] + [f"hiding:{n}" for n in range(2, 9)])
+    def test_verify_never_takes_a_dense_overlap_tensor(self, monkeypatch, capsys, name):
+        def refuse(*args):
+            raise AssertionError("verify took the dense overlap tensor")
+
+        monkeypatch.setattr(verify, "sector_overlaps", refuse)
+        assert main(["verify", "--code", name]) == 0
+        capsys.readouterr()
 
     def test_verify_never_builds_the_dense_basis(self, monkeypatch, capsys, tmp_path):
         def refuse(self):

@@ -21,10 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erasurelab import noise, verify
-from erasurelab.cli import code_to_json_dict, main
+from erasurelab.cli import ConfigError, code_from_json_dict, code_to_json_dict, main
 from erasurelab.codes import hiding_code, six_qubit_logical_basis, w_code
 from erasurelab.states import DEFAULT_DIMENSION_CAP
-from test_verify import dense_overlaps
+from test_verify import dense_overlaps, dense_route
 
 BASE_DOCS = [json.dumps(code_to_json_dict(code)) for code in (hiding_code(1), w_code())]
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -136,20 +136,35 @@ def sparse_bases(draw):
     return code.basis[:, np.arange(2**code.n_physical) ^ flips]
 
 
+def code_document(basis) -> dict:
+    n = basis.shape[1].bit_length() - 1
+    return {"n_sites": n, "dims": [2] * n,
+            "logical_basis": [[[a.real, a.imag] for a in row] for row in basis.tolist()]}
+
+
 def verify_rows(basis) -> tuple[int, list]:
     """Exit code and (name, pass, deviation) rows of ``verify`` on a code file."""
-    n = basis.shape[1].bit_length() - 1
-    doc = {"n_sites": n, "dims": [2] * n,
-           "logical_basis": [[[a.real, a.imag] for a in row] for row in basis.tolist()]}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "code.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            json.dump(code_document(basis), fh)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(["verify", "--code-file", path])
     rows = json.loads(out.getvalue())["checks"] if code != 2 else []
     return code, [(r["name"], r["pass"], r["worst_deviation"]) for r in rows]
+
+
+def dense_rows(basis) -> tuple[int, list]:
+    """``verify_rows`` from one dense split over every rest index per site."""
+    try:
+        code = code_from_json_dict(code_document(basis))
+    except ConfigError:
+        return 2, []
+    with mock.patch.object(verify, "sector_overlaps", dense_overlaps):
+        rows = dense_route(code)
+    return int(not all(r.passed for r in rows)), [(r.name, r.passed, r.worst_deviation)
+                                                  for r in rows]
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,9 +176,7 @@ def test_sparse_code_files_match_the_dense_product(basis, data):
     nudged[data.draw(st.integers(0, len(basis) - 1)),
            data.draw(st.integers(0, basis.shape[1] - 1))] += 1e-6
     for rows in (basis, nudged):
-        got = verify_rows(rows)
-        with mock.patch.object(verify, "sector_overlaps", dense_overlaps):
-            want = verify_rows(rows)
+        got, want = verify_rows(rows), dense_rows(rows)
         assert got[0] == want[0]
         assert [r[:2] for r in got[1]] == [r[:2] for r in want[1]]
         assert all(abs(g[2] - w[2]) <= 1e-12 for g, w in zip(got[1], want[1]))

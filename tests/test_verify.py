@@ -160,16 +160,49 @@ def reference_block_deviation(overlaps, g):
     return float(np.max(np.abs(overlaps - blocks)))
 
 
+def dense_route(code, tolerance=1e-10):
+    """certify's rows from one sector-overlap tensor per site, its dense
+    route: the oracle for the stored-entry path."""
+    half, n = np.eye(2) / 2, code.n_physical
+    kl = [check_erasure_kl(code, p, tolerance).checks[0].worst_deviation for p in range(n)]
+    hiding = [verify._block_deviation(verify.sector_overlaps(code, p), half) for p in range(n)]
+    return [CheckResult.within(f"{name}{p}", dev, tolerance)
+            for name, devs in (("kl_general_pos", kl), ("erasure_kl_pos", kl),
+                               ("hiding_site", hiding)) for p, dev in enumerate(devs)]
+
+
+def scattered_entries(code, keys, values):
+    """The stored entries scattered to a dense (n, L, 2, L, 2) stack, one site at a time."""
+    n_logical = len(code.message_labels)
+    size = 4 * n_logical**2
+    bounds = np.searchsorted(keys, np.arange(code.n_physical + 1) * size)
+    for p in range(code.n_physical):
+        site = np.zeros(size, dtype=np.complex128)
+        site[keys[bounds[p]:bounds[p + 1]] - p * size] = values[bounds[p]:bounds[p + 1]]
+        yield site.reshape(n_logical, n_logical, 2, 2).transpose(0, 2, 1, 3)
+
+
+def random_subspace_code(rng, n=6, dim=8):
+    z = rng.standard_normal((2**n, dim)) + 1j * rng.standard_normal((2**n, dim))
+    return code_from_rows(np.linalg.qr(z)[0].T, "random-subspace")
+
+
+def phased(code, rng, per_site):
+    """The code under diagonal phases, which keep its support: one phase gate
+    per site (a local unitary, so the verdicts stay) or one phase per column."""
+    bits = np.arange(2**code.n_physical)[:, None] >> np.arange(code.n_physical) & 1
+    angles = rng.uniform(0, 2 * np.pi, code.n_physical if per_site else len(bits))
+    return code_from_rows(code.basis * np.exp(1j * (bits @ angles if per_site else angles)),
+                          "phased-per-site" if per_site else "phased-per-column")
+
+
 @st.composite
 def small_codes(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     kind = draw(st.sampled_from(["isometry", "rotated_six", "product"]))
     if kind == "isometry":
-        n = draw(st.integers(3, 5))
-        dim = draw(st.integers(2, 8))
-        z = rng.standard_normal((2**n, dim)) + 1j * rng.standard_normal((2**n, dim))
-        return code_from_rows(np.linalg.qr(z)[0].T, "isometry")
+        return random_subspace_code(rng, draw(st.integers(3, 5)), draw(st.integers(2, 8)))
     if kind == "rotated_six":
         return locally_rotated(six_qubit_logical_basis(), rng)
     code = product_code(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
@@ -304,7 +337,8 @@ class TestSectorOverlaps:
 
     @pytest.mark.parametrize("nan_at", [(0, 0, 0, 0), (3, 1, 5, 0)])
     def test_non_finite_overlaps_never_pass(self, monkeypatch, nan_at):
-        code = six_qubit_logical_basis()
+        # a full-support code takes the dense route, one tensor per site
+        code = locally_rotated(six_qubit_logical_basis(), np.random.default_rng(7))
         overlaps = sector_overlaps(code, 0)
         overlaps[nan_at] = np.nan
         monkeypatch.setattr(verify, "sector_overlaps", lambda code, position: overlaps)
@@ -328,11 +362,11 @@ class TestSupport:
             assert np.max(np.abs(sector_overlaps(code, p) - want)) <= 1e-15
         report = certify(code)
         monkeypatch.setattr(verify, "sector_overlaps", lambda code, p: dense[p])
-        reference = certify(code)
+        reference = dense_route(code)
         assert [(c.name, c.passed) for c in report.checks] == [
-            (c.name, c.passed) for c in reference.checks
+            (c.name, c.passed) for c in reference
         ]
-        for got, want in zip(report.checks, reference.checks):
+        for got, want in zip(report.checks, reference):
             assert abs(got.worst_deviation - want.worst_deviation) <= 1e-15
 
     @pytest.mark.parametrize("code, size", [
@@ -373,9 +407,11 @@ class TestSupport:
             assert np.isnan(verify._kl_row("row", overlaps, ops, 1e-10).worst_deviation)
         assert np.isnan(verify._block_deviation(overlaps, np.eye(2) / 2))
 
-    @pytest.mark.parametrize("code", [six_qubit_logical_basis(), hiding_code(4)],
-                             ids=lambda c: c.label)
+    @pytest.mark.parametrize("code", [locally_rotated(c, np.random.default_rng(3))
+                                      for c in (six_qubit_logical_basis(), hiding_code(4))],
+                             ids=["rotated-six", "rotated-hiding-4"])
     def test_certify_contracts_each_site_once(self, code, monkeypatch):
+        # full-support codes take the dense route, one tensor per site
         calls, real = [], verify._kl_row
 
         def counted(*args):
@@ -386,6 +422,72 @@ class TestSupport:
         report = certify(code)
         assert calls == [f"erasure_kl_pos{p}" for p in range(code.n_physical)]
         assert report.passed
+
+
+SPARSE_CODES = [six_qubit_logical_basis(), w_code()] + [hiding_code(n) for n in range(2, 9)] + [
+    phased(six_qubit_logical_basis(), np.random.default_rng(13), per_site) for per_site in (1, 0)]
+DENSE_CODES = [locally_rotated(six_qubit_logical_basis(), np.random.default_rng(11)),
+               random_subspace_code(np.random.default_rng(12))]
+NEGATIVE_CONTROLS = [product_code(), bare_three_qubit_code(), unprotected_pair_code(),
+                     leaky_hiding_code()]
+
+
+class TestStoredEntries:
+    """Codes whose split columns are sparse are certified from the stored
+    entries of every site's overlap tensor; the dense tensor is the oracle."""
+
+    @pytest.mark.parametrize("code", SPARSE_CODES + DENSE_CODES, ids=lambda c: c.label)
+    def test_entries_are_the_dense_overlaps(self, code):
+        keys, values = verify.overlap_entries(code)
+        assert (keys[1:] > keys[:-1]).all()
+        for p, got in enumerate(scattered_entries(code, keys, values)):
+            assert np.max(np.abs(got - sector_overlaps(code, p))) <= 1e-15
+
+    @pytest.mark.parametrize("code", SPARSE_CODES + NEGATIVE_CONTROLS, ids=lambda c: c.label)
+    def test_rows_match_the_dense_route_without_a_dense_tensor(self, code, monkeypatch):
+        want = dense_route(code)
+        monkeypatch.setattr(verify, "sector_overlaps", lambda *args: pytest.fail("dense route"))
+        got = certify(code).checks
+        assert [(c.name, c.passed) for c in got] == [(c.name, c.passed) for c in want]
+        for g, w in zip(got, want):
+            assert abs(g.worst_deviation - w.worst_deviation) <= 1e-15
+
+    @pytest.mark.parametrize("code", DENSE_CODES + [nudged_six_qubit_code(1e-3)],
+                             ids=lambda c: c.label)
+    def test_dense_codes_keep_the_dense_route(self, code, monkeypatch):
+        calls, real = [], verify.sector_overlaps
+        monkeypatch.setattr(verify, "sector_overlaps",
+                            lambda code, p: calls.append(p) or real(code, p))
+        got = certify(code).checks
+        assert calls == list(range(code.n_physical))
+        assert list(got) == dense_route(code)
+
+    @pytest.mark.parametrize("code", [six_qubit_logical_basis(), hiding_code(4)],
+                             ids=lambda c: c.label)
+    @pytest.mark.parametrize("at", ["first", "off-diagonal", "last"])
+    def test_a_nan_entry_fails_every_row_of_its_site(self, code, at, monkeypatch):
+        keys, values = verify.overlap_entries(code)
+        n_logical = len(code.message_labels)
+        off = np.flatnonzero((keys >> 2) // n_logical % n_logical != (keys >> 2) % n_logical)
+        at = {"first": 0, "off-diagonal": off[len(off) // 2], "last": -1}[at]
+        values = values.copy()
+        values[at] = np.nan
+        site = keys[at] // (4 * n_logical**2)
+        monkeypatch.setattr(verify, "overlap_entries", lambda *args: (keys, values))
+        failed = [c.name for c in certify(code).checks if not c.passed]
+        assert failed == [f"kl_general_pos{site}", f"erasure_kl_pos{site}", f"hiding_site{site}"]
+
+    @pytest.mark.parametrize("code", SPARSE_CODES, ids=lambda c: c.label)
+    def test_certify_computes_every_sites_entries_in_one_pass(self, code, monkeypatch):
+        calls, real = [], verify.overlap_entries
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(verify, "overlap_entries", counted)
+        certify(code)
+        assert calls == [code]
 
 
 class TestSynthesis:
