@@ -16,7 +16,6 @@ from .codes import (
     hiding_encoder,
     hiding_recovery,
     recovery_for,
-    six_qubit_encoder,
     six_qubit_logical_basis,
     w_code,
 )
@@ -45,7 +44,6 @@ from .states import (
     apply_local_operator,
     fidelity_with_pure,
     partial_trace,
-    tensor_product,
 )
 from .verify import (
     CheckResult,
@@ -104,10 +102,8 @@ __all__ = [
     "run_recovery_trial",
     "run_recovery_trials",
     "sector_overlaps",
-    "six_qubit_encoder",
     "six_qubit_logical_basis",
     "standard_gate",
     "synthesize_recovery",
-    "tensor_product",
     "w_code",
 ]

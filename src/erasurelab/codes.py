@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .gates import Circuit, apply_circuit, circuit_rows, op
+from .gates import Circuit, apply_circuit, op
 from .states import MessageState, PureState, SiteDims, _frozen
 
 GRAM_TOL = 1e-12
@@ -152,23 +152,10 @@ class CodeSpec:
         if self.encoder is None:
             return self.logical_combination(message)
         self._check_support(message.amps)
-        return apply_circuit(PureState(self.dims, self._padded(message.amps)), self.encoder)
-
-    def encoded_labels(self) -> np.ndarray:
-        """(L, 2^n) stack whose row j is ``encode`` of the basis message
-        ``message_labels[j]``: the basis itself when there is no encoder,
-        else the encoder run on all rows at once, one contraction per gate."""
-        if self.encoder is None:
-            return self.basis
-        one_hot = np.eye(2**self.k_logical, dtype=np.complex128)[list(self.message_labels)]
-        return circuit_rows(self._padded(one_hot), self.dims, self.encoder)
-
-    def _padded(self, amps: np.ndarray) -> np.ndarray:
-        """Message amplitudes (any leading axes) as the register state
-        message (x) |0...0>, the ancillas following the message sites."""
-        padded = np.zeros(amps.shape[:-1] + (2**self.n_physical,), dtype=np.complex128)
-        padded[..., :: 2 ** (self.n_physical - self.k_logical)] = amps
-        return padded
+        # the register state message (x) |0...0>, the ancillas following the message sites
+        padded = np.zeros(2**self.n_physical, dtype=np.complex128)
+        padded[:: 2 ** (self.n_physical - self.k_logical)] = message.amps
+        return apply_circuit(PureState(self.dims, padded), self.encoder)
 
     def random_message(self, rng: np.random.Generator) -> MessageState:
         return MessageState(self.k_logical, self.random_amplitudes(rng))
@@ -233,21 +220,22 @@ def _ghz_pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, support
 
 
-def six_qubit_encoder() -> Circuit:
-    """Encoding circuit for the six-qubit code: the hiding encoder at n=3."""
-    return hiding_encoder(3)
+def _ghz_pair_code(label: str, n: int) -> CodeSpec:
+    """The GHZ-pair code of n >= 2 message qubits on 2n sites, with its encoder."""
+    return CodeSpec(
+        label=label,
+        n_physical=2 * n,
+        k_logical=n,
+        logical_basis=lambda: _ghz_pair_rows(n),
+        message_labels=range(2**n),
+        encoder=hiding_encoder(n),
+    )
 
 
 def six_qubit_logical_basis() -> CodeSpec:
-    """The six-qubit code: 3 message qubits in 6, one erasable site."""
-    return CodeSpec(
-        label="six-qubit-erasure",
-        n_physical=6,
-        k_logical=3,
-        logical_basis=lambda: _ghz_pair_rows(3),
-        message_labels=range(8),
-        encoder=six_qubit_encoder(),
-    )
+    """The six-qubit code: 3 message qubits in 6, one erasable site; the
+    hiding code at n = 3 under the paper's label."""
+    return _ghz_pair_code("six-qubit-erasure", 3)
 
 
 def decoder_for(bad_position: int) -> Circuit:
@@ -385,11 +373,4 @@ def hiding_code(n: int) -> CodeSpec:
         )
     if not 2 <= n <= HIDING_MAX_QUBITS:
         raise ValueError(f"message qubit count {n} out of range 1..{HIDING_MAX_QUBITS}")
-    return CodeSpec(
-        label=f"hiding-{n}",
-        n_physical=2 * n,
-        k_logical=n,
-        logical_basis=lambda: _ghz_pair_rows(n),
-        message_labels=range(2**n),
-        encoder=hiding_encoder(n),
-    )
+    return _ghz_pair_code(f"hiding-{n}", n)

@@ -56,16 +56,6 @@ class SiteDims(tuple):
     def __repr__(self) -> str:
         return f"SiteDims({tuple(self)})"
 
-    def index_of(self, labels) -> int:
-        """Mixed-radix index of a tuple of per-site basis labels."""
-        labels = tuple(int(b) for b in labels)
-        if len(labels) != len(self):
-            raise ValueError(f"expected {len(self)} labels, got {len(labels)}")
-        for b, d in zip(labels, self):
-            if not 0 <= b < d:
-                raise ValueError(f"label {b} out of range for site of dimension {d}")
-        return int(np.ravel_multi_index(labels, self))
-
     def replaced(self, position: int, dim: int) -> "SiteDims":
         new = list(self)
         new[position] = dim
@@ -91,37 +81,6 @@ class PureState:
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
         self.amps = _frozen(amps)
-
-    @classmethod
-    def basis_state(cls, dims, label) -> "PureState":
-        """Computational basis state; label is an index or per-site label tuple."""
-        dims = dims if isinstance(dims, SiteDims) else SiteDims(dims)
-        index = dims.index_of(label) if isinstance(label, (tuple, list)) else int(label)
-        if not 0 <= index < dims.total:
-            raise ValueError(f"basis index {index} out of range")
-        amps = np.zeros(dims.total, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls._over(dims, amps)
-
-    @classmethod
-    def from_unnormalized(cls, dims, amps) -> "PureState":
-        amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
-        norm = np.linalg.norm(amps)
-        if norm < 1e-14:
-            raise ValueError("cannot normalize an (almost) zero vector")
-        return cls._over(dims, amps / norm)
-
-    @classmethod
-    def _over(cls, dims, amps) -> "PureState":
-        """The state of this class over the register ``dims``, for the
-        builders above."""
-        return cls(dims, amps)
-
-    @classmethod
-    def random(cls, dims, rng: np.random.Generator) -> "PureState":
-        dims = dims if isinstance(dims, SiteDims) else SiteDims(dims)
-        z = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
-        return cls.from_unnormalized(dims, z)
 
     @property
     def n_sites(self) -> int:
@@ -173,24 +132,10 @@ class MessageState(PureState):
         super().__init__(SiteDims.qubits(int(n)), amps)
 
     @classmethod
-    def _over(cls, dims, amps) -> "MessageState":
-        dims = SiteDims(dims)
-        if set(dims) != {2}:
-            raise ValueError(f"a message register holds qubits only, got {tuple(dims)}")
-        return cls(len(dims), amps)
-
-    @classmethod
     def basis(cls, n: int, index: int) -> "MessageState":
         amps = np.zeros(2**n, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n, amps)
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "MessageState":
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"MessageState.random(n, rng) takes a qubit count n >= 1, got {n!r}")
-        z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        return cls(n, z / np.linalg.norm(z))
 
     @property
     def n(self) -> int:
@@ -198,12 +143,6 @@ class MessageState(PureState):
 
     def __repr__(self) -> str:
         return f"MessageState(n={self.n})"
-
-
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Joint state with a's sites first (most significant)."""
-    dims = SiteDims(a.dims + b.dims)
-    return PureState(dims, np.kron(a.amps, b.amps))
 
 
 def orthonormality_deviation(matrix: np.ndarray) -> float:

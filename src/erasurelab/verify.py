@@ -14,11 +14,12 @@ Three families of checks live here:
   sites.  ``recover`` synthesizes only for codes without a circuit plan
   (w5, the Bell pair), since the dense decoder is capped at
   ``SYNTHESIS_DIM_CAP`` rest amplitudes,
-* seeded checks through the encoder: sampled marginals of random messages,
+* seeded checks: sampled marginals of random messages through the encoder,
   and encode / damage / repair trials measured by fidelity and purity, one
-  trial at a time (``run_recovery_trial``) or stacked
-  (``run_recovery_trials``, which builds plan∘encode densely and refuses
-  one of more than ``RECOVERY_MAP_CAP`` entries before building it).
+  trial at a time through the encoder (``run_recovery_trial``) or stacked
+  (``run_recovery_trials``, which runs the plan densely on the logical basis,
+  W = plan∘basis, and refuses a W of more than ``RECOVERY_MAP_CAP`` entries
+  before building it).
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class VerificationReport:
     checks: tuple[CheckResult, ...]
-    tolerance: float
-    seed: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -187,7 +186,7 @@ def check_kl_general(
     overlaps = sector_overlaps(code, errors.position)
     products = _pair_products(errors.operators)
     check = _kl_row(f"kl_general_pos{errors.position}", overlaps, products, tolerance)
-    return VerificationReport(checks=(check,), tolerance=tolerance)
+    return VerificationReport(checks=(check,))
 
 
 def check_erasure_kl(
@@ -198,7 +197,7 @@ def check_erasure_kl(
     """Single-operator conditions for a known erased site: every Pauli must
     have equal diagonal matrix elements and no off-diagonal ones."""
     check = _kl_row(f"erasure_kl_pos{position}", sector_overlaps(code, position), PAULIS, tolerance)
-    return VerificationReport(checks=(check,), tolerance=tolerance)
+    return VerificationReport(checks=(check,))
 
 
 def overlap_entries(code: CodeSpec, max_pairs: float = np.inf):
@@ -279,8 +278,7 @@ def certify(code: CodeSpec, tolerance: float = DEFAULT_TOLERANCE) -> Verificatio
     rows = (("kl_general_pos", kl), ("erasure_kl_pos", kl), ("hiding_site", hiding))
     return VerificationReport(checks=tuple(CheckResult.within(f"{name}{p}", deviation, tolerance)
                                            for name, column in rows
-                                           for p, deviation in enumerate(column)),
-                              tolerance=tolerance)
+                                           for p, deviation in enumerate(column)))
 
 
 def _complete_orthonormal_basis(cols: np.ndarray) -> np.ndarray:
@@ -373,7 +371,9 @@ def synthesize_recovery(
     # row order[c] of the product is row c of full_source^H
     unitary = np.empty((rest_dim, rest_dim), dtype=np.complex128)
     unitary[order] = full_source.conj().T
-    del full_source, sectors  # freed before the gate copies the matrix: recover's peak memory
+    # freed before the gate copies the matrix, so the peak holds two rest_dim^2
+    # matrices, not three (16 MiB each at SYNTHESIS_DIM_CAP)
+    del full_source, sectors
     try:  # the one unitarity check, at GATE_UNITARITY_TOL
         gate = custom_gate(unitary)
     except ValueError as exc:  # completing the sources can lose a little orthonormality
@@ -405,7 +405,7 @@ def check_hiding(
     for _ in range(trials):
         worst = np.maximum(worst, marginal_deviations(code.encode(code.random_message(rng))))
     checks = tuple(CheckResult.within(f"hiding_site{s}", w, tolerance) for s, w in enumerate(worst))
-    return VerificationReport(checks=checks, tolerance=tolerance, seed=seed)
+    return VerificationReport(checks=checks)
 
 
 def run_recovery_trial(
@@ -443,7 +443,9 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
 
     The plan never touches its bad position and a channel touches only that
     site and a new environment, so the two commute: plan∘encode is one fixed
-    (L, D) map W, built once with one contraction per gate, and each trial is
+    (L, D) map W.  The encoder's outputs are the logical basis, so W is the
+    plan run once on ``code.basis``, one contraction per gate; only
+    ``run_recovery_trial``, the reference, runs the encoder.  Each trial is
     its message's coefficients times W with its channel then applied at that
     site.  Trials run in chunks of at most ``TRIAL_CHUNK_AMPS`` damaged
     amplitudes, and of at most as many entries of the matrices the channels
@@ -467,7 +469,7 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
     if size > RECOVERY_MAP_CAP:
         raise ValueError(f"recovery map of {len(code.message_labels)} x 2^{n} amplitudes "
                          f"({size}) exceeds the cap {RECOVERY_MAP_CAP}")
-    w = circuit_rows(code.encoded_labels(), code.dims, plan.circuit)
+    w = circuit_rows(code.basis, code.dims, plan.circuit)
     out_dim, env_dim = channel.shape
     rows = out_dim * env_dim
     # a channel's columns come from square matrices of at most rows^2 entries

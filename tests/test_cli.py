@@ -836,8 +836,8 @@ class TestBasisBuiltOnlyWhenRead:
 
     @pytest.mark.parametrize("argv, builds", [
         (["share-demo", "--code", "hiding:3"], 0),
-        (["recover", "--code", "six", "--pos", "0", "--trials", "5"], 0),
-        (["recover", "--code", "hiding:4", "--pos", "5", "--trials", "5"], 0),
+        (["recover", "--code", "six", "--pos", "0", "--trials", "5"], 1),
+        (["recover", "--code", "hiding:4", "--pos", "5", "--trials", "5"], 1),
         (["verify", "--code", "six"], 1),
         (["verify", "--code", "hiding:4"], 1),
         (["recover", "--code", "w5", "--pos", "2", "--trials", "3"], 1),

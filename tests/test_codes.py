@@ -23,7 +23,6 @@ from erasurelab.codes import (
     hiding_encoder,
     hiding_recovery,
     recovery_for,
-    six_qubit_encoder,
     six_qubit_logical_basis,
     w_code,
 )
@@ -144,13 +143,13 @@ class TestEncoder:
         code = six_qubit_logical_basis()
         rng = np.random.default_rng(31)
         for _ in range(10):
-            msg = MessageState.random(3, rng)
+            msg = code.random_message(rng)
             direct = code.encode(msg)
             combo = code.logical_combination(msg)
             np.testing.assert_allclose(direct.amps, combo.amps, atol=1e-12)
 
     def test_encoder_columns_reproduce_basis_exhaustively(self):
-        mat = circuit_matrix(six_qubit_encoder())
+        mat = circuit_matrix(hiding_encoder(3))
         for i in range(8):
             np.testing.assert_allclose(mat[:, i * 8], expected_logical(i), atol=1e-12)
 
@@ -174,7 +173,7 @@ class TestDecodeAndRecovery:
         for i in range(8):
             folded = apply_circuit(PureState(code.dims, code.basis[i]), decode)
             rho = partial_trace(folded, (3, 4, 5))
-            target = PureState.basis_state((2, 2, 2), i)
+            target = MessageState.basis(3, i)
             assert fidelity_with_pure(rho, target) >= 1 - 1e-12
 
     def test_decode_after_damage_keeps_the_readout_and_block_structure(self):
@@ -186,9 +185,9 @@ class TestDecodeAndRecovery:
         )
         folded = apply_circuit(damaged, decoder_for(0))
         anc = partial_trace(folded, (3, 4, 5))
-        assert fidelity_with_pure(anc, PureState.basis_state((2, 2, 2), 0)) >= 1 - 1e-12
+        assert fidelity_with_pure(anc, MessageState.basis(3, 0)) >= 1 - 1e-12
         blk = partial_trace(folded, (0, 1, 2))
-        flipped_block = PureState.from_unnormalized((2, 2, 2), np.eye(8)[4] + np.eye(8)[3])
+        flipped_block = PureState((2, 2, 2), (np.eye(8)[4] + np.eye(8)[3]) / math.sqrt(2))
         assert fidelity_with_pure(blk, flipped_block) >= 1 - 1e-12
 
     def test_plans_never_touch_the_bad_site(self):
@@ -232,7 +231,7 @@ class TestDecodeAndRecovery:
             encoded = code.encode(MessageState.basis(3, 0))
             out = plan.apply(encoded)
             rho = partial_trace(out, plan.output_register)
-            assert fidelity_with_pure(rho, PureState.basis_state((2, 2, 2), 0)) >= 1 - 1e-12
+            assert fidelity_with_pure(rho, MessageState.basis(3, 0)) >= 1 - 1e-12
 
 
 class TestWCode:
@@ -322,7 +321,7 @@ class TestHidingFamily:
         code = hiding_code(n)
         rng = np.random.default_rng(77 + n)
         for _ in range(5):
-            msg = MessageState.random(n, rng)
+            msg = code.random_message(rng)
             np.testing.assert_allclose(
                 code.encode(msg).amps, code.logical_combination(msg).amps, atol=1e-12
             )
@@ -380,6 +379,24 @@ class TestBuiltinBasis:
         basis = hiding_code(n).basis
         assert basis.dtype == np.complex128
         assert np.array_equal(basis, ghz_pair_oracle(n))
+
+    @pytest.mark.parametrize("code", [six_qubit_logical_basis()]
+                             + [hiding_code(n) for n in range(1, 8)], ids=lambda code: code.label)
+    def test_the_encoder_gives_the_rows_bit_for_bit(self, code):
+        # recover runs its plan on code.basis in place of the encoder's outputs
+        encoded = np.stack([code.encode(MessageState.basis(code.k_logical, m)).amps
+                            for m in code.message_labels])
+        assert np.array_equal(encoded.view(np.uint64), code.basis.view(np.uint64))
+
+    def test_six_is_the_hiding_code_at_three_under_the_paper_label(self):
+        six, three = six_qubit_logical_basis(), hiding_code(3)
+        assert (six.label, three.label) == ("six-qubit-erasure", "hiding-3")
+        assert (six.n_physical, six.k_logical) == (three.n_physical, three.k_logical)
+        assert np.array_equal(six.rows.view(np.uint64), three.rows.view(np.uint64))
+        assert np.array_equal(six.support, three.support)
+        assert six.message_labels == three.message_labels
+        ops = [[(o.gate.kind, o.targets) for o in c.encoder.ops] for c in (six, three)]
+        assert ops[0] == ops[1]
 
 
 class TestCodeSpecValidation:

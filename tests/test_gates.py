@@ -19,6 +19,8 @@ from erasurelab.gates import (
 )
 from erasurelab.states import PureState, SiteDims, apply_local_operator
 
+from conftest import random_state
+
 
 def random_gate(dim: int, seed: int) -> Gate:
     return custom_gate(haar_unitary(dim, np.random.default_rng(seed)))
@@ -27,28 +29,27 @@ def random_gate(dim: int, seed: int) -> Gate:
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
     """Dense reference: the circuit's unitary, one basis column at a time."""
     d = circuit.dims.total
-    columns = [apply_circuit(PureState.basis_state(circuit.dims, j), circuit).amps
-               for j in range(d)]
+    columns = [apply_circuit(PureState(circuit.dims, column), circuit).amps for column in np.eye(d)]
     return np.stack(columns, axis=1)
 
 
 class TestStandardGates:
     def test_hadamard_involution(self):
-        s = PureState.basis_state((2,), 0)
+        s = PureState((2,), [1, 0])
         twice = apply_circuit(s, Circuit([op("H", 0), op("H", 0)], (2,)))
         np.testing.assert_allclose(twice.amps, s.amps, atol=1e-15)
 
     def test_toffoli_control_condition(self):
         c = Circuit([op("TOFFOLI", 0, 1, 2)], (2, 2, 2))
-        fired = apply_circuit(PureState.basis_state((2, 2, 2), (1, 1, 0)), c)
+        fired = apply_circuit(PureState((2, 2, 2), np.eye(8)[0b110]), c)
         assert fired.amps[7] == 1.0
-        idle = apply_circuit(PureState.basis_state((2, 2, 2), (1, 0, 0)), c)
+        idle = apply_circuit(PureState((2, 2, 2), np.eye(8)[0b100]), c)
         assert idle.amps[4] == 1.0
 
     def test_cz_phase(self):
         c = Circuit([op("CZ", 0, 1)], (2, 2))
-        assert apply_circuit(PureState.basis_state((2, 2), 3), c).amps[3] == -1.0
-        assert apply_circuit(PureState.basis_state((2, 2), 1), c).amps[1] == 1.0
+        assert apply_circuit(PureState((2, 2), np.eye(4)[3]), c).amps[3] == -1.0
+        assert apply_circuit(PureState((2, 2), np.eye(4)[1]), c).amps[1] == 1.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -88,7 +89,7 @@ class TestCircuitPlumbing:
             Circuit([op("CNOT", 0, 1)], (2, 3))  # gate side 4 vs site product 6
 
     def test_empty_circuit_is_identity(self):
-        s = PureState.random((2, 2), np.random.default_rng(0))
+        s = random_state((2, 2), np.random.default_rng(0))
         out = apply_circuit(s, Circuit([], (2, 2)))
         np.testing.assert_array_equal(out.amps, s.amps)
 
@@ -96,19 +97,19 @@ class TestCircuitPlumbing:
         # [X0, H0] on |0> must run H first: H|0> is X-invariant, so the
         # result distinguishes the two composition conventions
         out = apply_circuit(
-            PureState.basis_state((2,), 0), Circuit([op("X", 0), op("H", 0)], (2,))
+            PureState((2,), [1, 0]), Circuit([op("X", 0), op("H", 0)], (2,))
         )
         np.testing.assert_allclose(out.amps, [1, 1] / np.sqrt(2), atol=1e-15)
 
     def test_apply_circuit_rejects_missing_or_promoted_sites(self):
         c = Circuit([op("H", 1)], (2, 2))
         with pytest.raises(ValueError):
-            apply_circuit(PureState.basis_state((2,), 0), c)
+            apply_circuit(PureState((2,), [1, 0]), c)
         with pytest.raises(ValueError):
-            apply_circuit(PureState.basis_state((2, 3), 0), c)
+            apply_circuit(PureState((2, 3), np.eye(6)[0]), c)
         # extra appended sites and promoted untouched sites are both fine
         c0 = Circuit([op("H", 0)], (2, 2))
-        out = apply_circuit(PureState.basis_state((2, 3, 4), 0), c0)
+        out = apply_circuit(PureState((2, 3, 4), np.eye(24)[0]), c0)
         assert out.dims == (2, 3, 4)
 
     def test_inner_products_preserved(self):
@@ -118,8 +119,8 @@ class TestCircuitPlumbing:
             (2, 2, 2),
         )
         for _ in range(10):
-            a = PureState.random((2, 2, 2), rng)
-            b = PureState.random((2, 2, 2), rng)
+            a = random_state((2, 2, 2), rng)
+            b = random_state((2, 2, 2), rng)
             before = np.vdot(a.amps, b.amps)
             after = np.vdot(apply_circuit(a, c).amps, apply_circuit(b, c).amps)
             assert abs(after - before) <= 1e-12
@@ -142,7 +143,7 @@ class TestOneContraction:
         circuit = Circuit(self.OPS, (2, 2, 2))
         rng = np.random.default_rng(23)
         for _ in range(5):
-            state = PureState.random((2, 2, 2, 3), rng)
+            state = random_state((2, 2, 2, 3), rng)
             ref, validated = state, state
             for c_op in reversed(self.OPS):
                 ref_amps = tensordot_apply(ref, c_op.gate.matrix, c_op.targets)
@@ -155,7 +156,7 @@ class TestOneContraction:
     def test_a_stack_of_rows_gets_the_per_row_result(self):
         circuit = Circuit(self.OPS, (2, 2, 2))
         rng = np.random.default_rng(29)
-        rows = [PureState.random((2, 2, 2, 3), rng) for _ in range(4)]
+        rows = [random_state((2, 2, 2, 3), rng) for _ in range(4)]
         stacked = circuit_rows(np.stack([r.amps for r in rows]), (2, 2, 2, 3), circuit)
         assert np.array_equal(stacked, np.stack([apply_circuit(r, circuit).amps for r in rows]))
         with pytest.raises(ValueError, match="does not fit"):
@@ -172,7 +173,7 @@ class TestOneContraction:
         def refuse(*args, **kwargs):
             raise AssertionError("apply_circuit validated a single gate")
 
-        state = PureState.random((2, 2, 2), np.random.default_rng(4))
+        state = random_state((2, 2, 2), np.random.default_rng(4))
         monkeypatch.setattr(states.PureState, "__init__", counting_init)
         monkeypatch.setattr(gates, "apply_local_operator", refuse)
         apply_circuit(state, Circuit(self.OPS, (2, 2, 2)))
@@ -199,7 +200,7 @@ class TestInversion:
         )
         inv = invert_circuit(c)
         for _ in range(20):
-            s = PureState.random((2, 2, 2), rng)
+            s = random_state((2, 2, 2), rng)
             back = apply_circuit(apply_circuit(s, c), inv)
             np.testing.assert_allclose(back.amps, s.amps, atol=1e-12)
 
@@ -231,7 +232,7 @@ def test_circuit_matrix_matches_kron():
 def test_custom_gate_on_qudit():
     shift = custom_gate(np.roll(np.eye(3), 1, axis=0))
     c = Circuit([CircuitOp(shift, (0,))], (3,))
-    out = apply_circuit(PureState.basis_state((3,), 2), c)
+    out = apply_circuit(PureState((3,), [0, 0, 1]), c)
     assert out.amps[0] == 1.0
 
 

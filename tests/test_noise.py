@@ -14,6 +14,8 @@ from erasurelab.noise import (
 )
 from erasurelab.states import PureState, partial_trace
 
+from conftest import random_state
+
 
 def encoded_zero():
     code = six_qubit_logical_basis()
@@ -92,7 +94,7 @@ def test_apply_erasure_position_checks():
 
 def test_erasure_only_disturbs_the_bad_site():
     rng = np.random.default_rng(41)
-    state = PureState.random((2,) * 6, rng)
+    state = random_state((2,) * 6, rng)
     out = apply_erasure(state, ErasureEvent(3, random_decoherence(12, env_dim=4)))
     for s in range(6):
         if s == 3:
