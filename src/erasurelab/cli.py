@@ -63,9 +63,8 @@ class ChannelSpec:
         the dimension cap."""
         if self.kind == "pauli":
             return
-        out_dim, _ = self.shape
         sizes = {
-            "damaged register dimension": 2 ** (n_sites - 1) * out_dim * self.env_dim,
+            "damaged register dimension": 2 ** (n_sites - 1) * self.shape[0] * self.env_dim,
             "channel Haar matrix size": (2 * self.env_dim) ** 2,
         }
         if self.kind == "leak":
@@ -84,11 +83,10 @@ class ChannelSpec:
     def columns(self, seeds) -> np.ndarray:
         """``build(seed).columns`` for every seed, as one (T, out * env, 2)
         stack: a Pauli is built once and broadcast, and each Haar block of
-        the seeded channels is one batched QR."""
+        the seeded channels is one batched QR of the two columns kept."""
         if self.kind == "pauli":
             return np.broadcast_to(noise.pauli_error(self.pauli_kind).columns, (len(seeds), 2, 2))
-        out_dim, _ = self.shape
-        return noise.decoherence_columns(seeds, self.env_dim, out_dim, self.leak_weight)
+        return noise.decoherence_columns(seeds, self.env_dim, self.shape[0], self.leak_weight)
 
 
 @dataclass
@@ -104,50 +102,52 @@ class RunConfig:
     out: str | None = None
 
 
+def _count(text: str) -> int:
+    """A count in its one spelling: plain ASCII digits, with no sign, space,
+    underscore or leading zero (not 03, +3, 3_0 or other scripts' digits)."""
+    if not (text.isascii() and text.isdigit()) or text != str(n := int(text)):
+        raise ValueError(f"{text!r} is not a count in plain decimal digits")
+    return n
+
+
 def parse_channel(text: str) -> ChannelSpec:
+    """The --channel value, each count spelled as ``_count`` allows and the
+    leak weight in ASCII digits, '.', exponent and signs only."""
     kind, _, rest = text.partition(":")
+    if kind == "pauli":
+        if rest not in ("I", "X", "Y", "Z"):
+            raise ConfigError(f"unknown Pauli kind {rest!r}")
+        return ChannelSpec(kind="pauli", pauli_kind=rest)
+    if kind not in ("random", "leak"):
+        raise ConfigError(f"unknown channel kind {kind!r}; expected pauli:, random:, or leak:")
+    parts = rest.split(",")
     try:
-        if kind == "pauli":
-            if rest not in ("I", "X", "Y", "Z"):
-                raise ConfigError(f"unknown Pauli kind {rest!r}")
-            return ChannelSpec(kind="pauli", pauli_kind=rest)
-        if kind == "random":
-            env_dim = int(rest)
-            if env_dim < 1:
-                raise ConfigError("environment dimension must be at least 1")
-            return ChannelSpec(kind="random", env_dim=env_dim)
-        if kind == "leak":
-            parts = rest.split(",")
-            if len(parts) not in (2, 3):
-                raise ConfigError("leak channel needs leak_dim,env_dim[,weight]")
-            leak_dim, env_dim = int(parts[0]), int(parts[1])
-            weight = float(parts[2]) if len(parts) == 3 else None
-            if leak_dim < 3:
-                raise ConfigError("leak dimension must be at least 3")
-            if env_dim < 1:
-                raise ConfigError("environment dimension must be at least 1")
-            if weight is not None and not 0.0 <= weight <= 1.0:
-                raise ConfigError("leak weight must lie in [0, 1]")
-            return ChannelSpec(kind="leak", leak_dim=leak_dim, env_dim=env_dim, leak_weight=weight)
+        if len(parts) not in ((1,) if kind == "random" else (2, 3)):
+            raise ValueError("expected random:env_dim or leak:leak_dim,env_dim[,weight]")
+        counts = [_count(part) for part in parts[:2]]
+        if len(parts) == 3 and parts[2].strip("0123456789.eE+-"):
+            raise ValueError(f"{parts[2]!r} is not a weight in plain decimal digits")
+        weight = float(parts[2]) if len(parts) == 3 else None
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"malformed channel spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown channel kind {kind!r}; expected pauli:, random:, or leak:")
+    leak_dim, env_dim = counts if kind == "leak" else (3, counts[0])
+    if leak_dim < 3:
+        raise ConfigError("leak dimension must be at least 3")
+    if env_dim < 1:
+        raise ConfigError("environment dimension must be at least 1")
+    if weight is not None and not 0.0 <= weight <= 1.0:
+        raise ConfigError("leak weight must lie in [0, 1]")
+    return ChannelSpec(kind=kind, leak_dim=leak_dim, env_dim=env_dim, leak_weight=weight)
 
 
 def _parse_hiding(text: str, lo: int) -> int:
-    _, _, num = text.partition(":")
     try:
-        n = int(num)
+        n = _count(text.removeprefix("hiding:"))
     except ValueError as exc:
         raise ConfigError(f"malformed code selector {text!r}") from exc
-    if text != f"hiding:{n}":  # one spelling per code: not hiding:03, hiding:+3 or other digits
-        raise ConfigError(f"malformed code selector {text!r}")
     if not lo <= n <= codes_mod.HIDING_MAX_QUBITS:
-        raise ConfigError(
-            f"hiding qubit count {n} out of range {lo}..{codes_mod.HIDING_MAX_QUBITS}"
-        )
+        raise ConfigError(f"hiding qubit count {n} out of range "
+                          f"{lo}..{codes_mod.HIDING_MAX_QUBITS}")
     return n
 
 
@@ -231,14 +231,13 @@ def _render(value, inner: str) -> str:
     """``value`` as text; ``inner`` is a line break and the indentation of
     the items inside it."""
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f"{_quote(str(k))}: {_render(v, inner + '  ')}" for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(rows) + inner[:-2] + "}"
+        return _render_dicts([value], inner)[0] if value else "{}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        rows = [_render(v, inner + "  ") for v in value]
+        keys, deeper = (list(value[0]) if isinstance(value[0], dict) else None), inner + "  "
+        same = keys and all(isinstance(v, dict) and list(v) == keys for v in value)
+        rows = _render_dicts(value, deeper) if same else [_render(v, deeper) for v in value]
         return "[" + inner + ("," + inner).join(rows) + inner[:-2] + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -251,6 +250,23 @@ def _render(value, inner: str) -> str:
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _render_dicts(rows, inner: str) -> list[str]:
+    """Nonempty dicts with the same keys in the same order, each as text,
+    from one template: a column of plain floats or ints is formatted there
+    (``%.17g`` is ``format(v, ".17g")``), any other is rendered first."""
+    deeper, specs, columns = inner + "  ", [], []
+    for key, column in zip(rows[0], zip(*[row.values() for row in rows])):
+        kind = type(column[0])
+        if kind in (float, int) and all(type(v) is kind for v in column):
+            spec = "%.17g" if kind is float else "%d"
+        else:
+            spec, column = "%s", [_render(v, deeper) for v in column]
+        specs.append(_quote(str(key)).replace("%", "%%") + ": " + spec)
+        columns.append(column)
+    template = "{" + inner + ("," + inner).join(specs) + inner[:-2] + "}"
+    return [template % values for values in zip(*columns)]
 
 
 def _report(config: RunConfig, checks, trials=()) -> tuple[int, dict]:
@@ -303,13 +319,18 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    rng = np.random.default_rng(config.seed)
-    # the engine takes each trial's message and then its channel seed, so a
-    # seed gives the same trials as a loop that draws them one by one
-    trials = ((code.random_amplitudes(rng), int(rng.integers(0, 2**63 - 1)))
-              for _ in range(config.trials))
+    rng, shape = np.random.default_rng(config.seed), (len(code.message_labels), 2)
+    per = verify.TRIAL_CHUNK_AMPS >> code.k_logical  # messages drawn, then normalized at once
+
+    def trials():
+        # each trial draws its message, then its channel seed, as a one-by-one loop would
+        for start in range(0, config.trials, per):
+            z, seeds = zip(*[(rng.standard_normal(shape), int(rng.integers(0, 2**63 - 1)))
+                             for _ in range(min(per, config.trials - start))])
+            yield from zip(code.message_amplitudes(np.array(z)), seeds)
+
     try:
-        results = verify.run_recovery_trials(code, plan, config.channel, trials)
+        results = verify.run_recovery_trials(code, plan, config.channel, trials())
     except ValueError as exc:
         # e.g. leak:3,1 with a nonzero weight: the leaked subspace cannot host
         # two orthonormal images, which only surfaces when a channel is built

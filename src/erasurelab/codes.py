@@ -42,9 +42,11 @@ class CodeSpec:
     ``logical_basis`` is a dense (L, 2^n) array, compacted and checked here,
     or a zero-argument builder of (rows, support), run and checked on the
     first read of ``rows``.  ``basis`` scatters the rows to (L, 2^n).
+    ``encoder`` is a circuit, None, or a zero-argument builder of the
+    circuit, run on the first read of ``encoder``.
     """
 
-    __slots__ = ("label", "n_physical", "k_logical", "message_labels", "encoder", "_rows",
+    __slots__ = ("label", "n_physical", "k_logical", "message_labels", "_encoder", "_rows",
                  "_support", "_where")
 
     def __init__(self, label, n_physical, k_logical, logical_basis, message_labels, encoder=None):
@@ -63,7 +65,7 @@ class CodeSpec:
         self.n_physical = n_physical
         self.k_logical = k_logical
         self.message_labels = message_labels
-        self.encoder = encoder
+        self._encoder = encoder
         self._rows = logical_basis
         if not callable(logical_basis):
             basis = np.array(logical_basis, dtype=np.complex128)
@@ -103,6 +105,11 @@ class CodeSpec:
         if callable(self._rows):
             self._rows = self._checked(self._rows())
         return self._rows[:, :-1]
+
+    @property
+    def encoder(self) -> Circuit | None:
+        self._encoder = self._encoder() if callable(self._encoder) else self._encoder
+        return self._encoder
 
     @property
     def support(self) -> np.ndarray:
@@ -163,10 +170,16 @@ class CodeSpec:
     def random_amplitudes(self, rng: np.random.Generator) -> np.ndarray:
         """Amplitudes of a random message: a complex Gaussian on every label,
         drawn as (real, imaginary) pairs in label order, normalized."""
-        z = rng.standard_normal((len(self.message_labels), 2))
-        amps = np.zeros(2**self.k_logical, dtype=np.complex128)
-        amps[list(self.message_labels)] = z[:, 0] + 1j * z[:, 1]
-        return amps / np.linalg.norm(amps)
+        return self.message_amplitudes(rng.standard_normal((1, len(self.message_labels), 2)))[0]
+
+    def message_amplitudes(self, z: np.ndarray) -> np.ndarray:
+        """The (T, 2^k) messages of a (T, L, 2) stack of such draws, in one
+        step.  Each part's squared norm is a stacked (1 x 2^k) @ (2^k x 1)
+        product of a strided view, the dot ``np.linalg.norm`` takes."""
+        amps = np.zeros((len(z), 2**self.k_logical), dtype=np.complex128)
+        amps[:, list(self.message_labels)] = z[..., 0] + 1j * z[..., 1]
+        re, im = amps.real[:, None], amps.imag[:, None]
+        return amps / np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
 
     def __repr__(self) -> str:
         return f"CodeSpec({self.label!r}, n={self.n_physical}, k={self.k_logical})"
@@ -221,14 +234,14 @@ def _ghz_pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ghz_pair_code(label: str, n: int) -> CodeSpec:
-    """The GHZ-pair code of n >= 2 message qubits on 2n sites, with its encoder."""
+    """The GHZ-pair code of n >= 2 message qubits on 2n sites; its encoder is built when read."""
     return CodeSpec(
         label=label,
         n_physical=2 * n,
         k_logical=n,
         logical_basis=lambda: _ghz_pair_rows(n),
         message_labels=range(2**n),
-        encoder=hiding_encoder(n),
+        encoder=lambda: hiding_encoder(n),
     )
 
 

@@ -92,21 +92,22 @@ def custom_gate(matrix) -> Gate:
     return Gate("CUSTOM", matrix)
 
 
-def haar_unitary(dim: int, rng) -> np.ndarray:
+def haar_unitary(dim: int, rng, columns: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix, with the
     phases of R's diagonal moved into Q (Mezzadri, math-ph/0609050).
 
     ``rng`` is one generator, or a sequence of them: then each draws its own
     matrix, exactly as it would alone, and the (T, dim, dim) stack of
-    unitaries comes from one batched QR.
+    unitaries comes from one batched QR.  With ``columns``, every entry is
+    drawn but the QR runs on the first ``columns`` only, which is all they need.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     single = isinstance(rng, np.random.Generator)
     generators = [rng] if single else list(rng)
-    z = np.empty((len(generators), dim, dim), dtype=np.complex128)
-    for g, out in zip(generators, z):
-        out.real, out.imag = g.standard_normal((2, dim, dim))  # real parts first
+    draws = np.reshape([g.standard_normal((2, dim, dim)) for g in generators], (-1, 2, dim, dim))
+    z = np.empty((len(generators), dim, min(dim, columns or dim)), dtype=np.complex128)
+    z.real, z.imag = draws[:, 0, :, : z.shape[2]], draws[:, 1, :, : z.shape[2]]  # real first
     z /= math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)

@@ -130,7 +130,8 @@ def decoherence_columns(
 
     Each seed gets its own generator and the same draws, in the same order,
     as there, so row t equals that builder's columns for ``seeds[t]``.  Each
-    Haar block is one batched QR, and one isometry check covers the stack.
+    Haar block is one batched QR of the two columns kept, and one isometry
+    check covers the stack.
     """
     if env_dim < 1:
         raise ValueError("environment dimension must be at least 1")
@@ -139,24 +140,22 @@ def decoherence_columns(
     if leak_weight is not None and not 0.0 <= leak_weight <= 1.0:
         raise ValueError(f"leak weight {leak_weight} outside [0, 1]")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    columns = haar_unitary(2 * env_dim, rngs)[..., :2].copy()  # frees the other columns
+    columns = haar_unitary(2 * env_dim, rngs, 2)
     if leak_dim > 2:
         weights = np.array([rng.uniform() for rng in rngs] if leak_weight is None
                            else [leak_weight] * len(rngs))
-        qubit_block = columns
-        columns = np.zeros((len(rngs), leak_dim * env_dim, 2), dtype=np.complex128)
-        columns[:, : 2 * env_dim] = np.sqrt(1.0 - weights)[:, None, None] * qubit_block
+        leak_levels = (leak_dim - 2) * env_dim
+        columns = np.concatenate([np.sqrt(1.0 - weights)[:, None, None] * columns,
+                                  np.zeros((len(rngs), leak_levels, 2))], axis=1)
         leaky = weights > 0.0
         if leaky.any():
-            leak_levels = (leak_dim - 2) * env_dim
             if leak_levels < 2:
                 raise ValueError(
                     "leaked subspace too small for two orthonormal images; "
                     f"need (leak_dim - 2) * env_dim >= 2, got {leak_levels}"
                 )
-            leak_block = haar_unitary(leak_levels, [g for g, x in zip(rngs, leaky) if x])
-            columns[leaky, 2 * env_dim :] = (np.sqrt(weights[leaky])[:, None, None]
-                                             * leak_block[..., :2])
+            leak_block = haar_unitary(leak_levels, [g for g, x in zip(rngs, leaky) if x], 2)
+            columns[leaky, 2 * env_dim :] = np.sqrt(weights[leaky])[:, None, None] * leak_block
     dev = orthonormality_deviation(columns)
     if not dev <= ISOMETRY_TOL:
         raise ValueError(f"columns are not an isometry (deviation {dev:.3e})")

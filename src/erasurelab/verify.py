@@ -18,8 +18,10 @@ Three families of checks live here:
   and encode / damage / repair trials measured by fidelity and purity, one
   trial at a time through the encoder (``run_recovery_trial``) or stacked
   (``run_recovery_trials``, which runs the plan densely on the logical basis,
-  W = plan∘basis, and refuses a W of more than ``RECOVERY_MAP_CAP`` entries
-  before building it).
+  W = plan∘basis, refusing a W of more than ``RECOVERY_MAP_CAP`` entries
+  before building it, orders W's columns as (output register, other intact
+  sites, damaged site), and scores each chunk of trials with three batched
+  products: messages @ W, then the channels' columns, then x x^H).
 """
 
 from __future__ import annotations
@@ -439,85 +441,72 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
     lazily.  ``channel`` is a seeded channel family such as
     ``cli.ChannelSpec``: ``channel.shape`` is its (output site dimension,
     environment dimension), and ``channel.columns(seeds)`` the (T, out * env,
-    2) stack of the seeds' isometry columns, built and checked once per chunk.
+    2) stack V of the seeds' isometry columns, built and checked once per chunk.
 
     The plan never touches its bad position and a channel touches only that
     site and a new environment, so the two commute: plan∘encode is one fixed
-    (L, D) map W.  The encoder's outputs are the logical basis, so W is the
-    plan run once on ``code.basis``, one contraction per gate; only
-    ``run_recovery_trial``, the reference, runs the encoder.  Each trial is
-    its message's coefficients times W with its channel then applied at that
-    site.  Trials run in chunks of at most ``TRIAL_CHUNK_AMPS`` damaged
-    amplitudes, and of at most as many entries of the matrices the channels
-    are built from (one trial, if a single trial is larger); every trial
-    gets the checks that ``MessageState``, ``PureState`` and
-    ``DensityMatrix`` make.  Raises ValueError for anything but a
-    ``RecoveryPlan`` (which may not commute with the channel), for a bad
-    position outside the code or an output register that does not hold the
-    message, before building it for a W of more than ``RECOVERY_MAP_CAP``
-    entries, or when a check fails.
+    (L, D) map W, the plan run once on ``code.basis`` (only the reference,
+    ``run_recovery_trial``, runs the encoder).  W's columns are put once in
+    (output register, other intact sites, damaged site) order, so T trials
+    take three batched products and no transposed copy: psi = messages @ W,
+    shaped (T, 2^k R, 2); the damaged states x = psi @ V^T, shaped (T, 2^k,
+    R out env); and the output register's states rho = x x^H.  A chunk holds
+    at most ``TRIAL_CHUNK_AMPS`` damaged amplitudes, and at most as many
+    entries of the matrices the channels are built from (one trial, if a
+    single trial is larger); every trial gets the checks that
+    ``MessageState``, ``PureState`` and ``DensityMatrix`` make.  Raises
+    ValueError for anything but a ``RecoveryPlan`` (which may not commute
+    with the channel), for a bad position outside the code or an output
+    register that does not hold the message, before building it for a W of
+    more than ``RECOVERY_MAP_CAP`` entries, or when a check fails.
     """
     if not isinstance(plan, RecoveryPlan):
         raise ValueError(f"{plan!r} is not a RecoveryPlan, so it may not commute with the "
                          "channel at the damaged site")
-    n, k = code.n_physical, code.k_logical
-    if not 0 <= plan.bad_position < n:
-        raise ValueError(f"position {plan.bad_position} out of range for {n} sites")
+    n, k, position = code.n_physical, code.k_logical, plan.bad_position
+    if not 0 <= position < n:
+        raise ValueError(f"position {position} out of range for {n} sites")
     if len(plan.output_register) != k:
         raise ValueError(f"output register {plan.output_register} does not hold {k} message qubits")
     size = len(code.message_labels) * 2**n
     if size > RECOVERY_MAP_CAP:
         raise ValueError(f"recovery map of {len(code.message_labels)} x 2^{n} amplitudes "
                          f"({size}) exceeds the cap {RECOVERY_MAP_CAP}")
-    w = circuit_rows(code.basis, code.dims, plan.circuit)
-    out_dim, env_dim = channel.shape
-    rows = out_dim * env_dim
+    w = circuit_rows(code.basis, code.dims, plan.circuit).reshape((-1,) + (2,) * n)
+    rest = [s for s in range(n) if s != position and s not in plan.output_register]
+    w = w.transpose([0] + [1 + s for s in (*plan.output_register, *rest, position)])
+    w = w.reshape(len(code.message_labels), -1)
+    rows = int(np.prod(channel.shape))
     # a channel's columns come from square matrices of at most rows^2 entries
-    per_chunk = max(1, TRIAL_CHUNK_AMPS // max(w.shape[1] // 2 * rows, rows * rows))
+    per_chunk = max(1, TRIAL_CHUNK_AMPS // max(2 ** (n - 1) * rows, rows * rows))
     trials = iter(trials)
     results: list[TrialResult] = []
     while chunk := list(itertools.islice(trials, per_chunk)):
-        msgs = _message_stack(code, [m for m, _ in chunk], len(results))
-        v = channel.columns([seed for _, seed in chunk])
-        results += _trial_chunk(code, w, plan, msgs, v.reshape(len(chunk), out_dim, env_dim, 2),
-                                len(results))
+        # each message checked as MessageState and encode check it (ragged rows raise here)
+        msgs = np.array([m for m, _ in chunk], dtype=np.complex128)
+        if msgs.shape[1:] != (2**k,):
+            raise ValueError(f"a message does not have the {k} qubits the code expects")
+        norm = np.linalg.norm(msgs, axis=1)
+        _require(np.abs(norm - 1.0) <= NORM_TOL, len(results), lambda i: f"message norm "
+                 f"{float(norm[i])!r} differs from 1 by more than {NORM_TOL}")
+        code._check_support(msgs)
+        results += _trial_chunk(code, w, msgs, channel.columns([s for _, s in chunk]), len(results))
     return results
 
 
-def _message_stack(code, rows, first) -> np.ndarray:
-    """The (T, 2^k) stack of message amplitude rows, each checked as
-    ``MessageState`` and ``encode`` check it."""
-    k = code.k_logical
-    if any(np.shape(m) != (2**k,) for m in rows):
-        raise ValueError(f"a message does not have the {k} qubits the code expects")
-    msgs = np.array(rows, dtype=np.complex128)
-    norm = np.linalg.norm(msgs, axis=1)
-    _require(np.abs(norm - 1.0) <= NORM_TOL, first,
-             lambda i: f"message norm {float(norm[i])!r} differs from 1 by more than {NORM_TOL}")
-    code._check_support(msgs)
-    return msgs
-
-
-def _trial_chunk(code, w, plan, msgs, v, first) -> list[TrialResult]:
-    """Encode-and-plan, damage and score T trials in stacked numpy steps:
-    ``msgs`` holds their message amplitudes and ``v`` their channels'
-    columns, shaped (T, output site dimension, environment dimension, 2)."""
-    n, k, position = code.n_physical, code.k_logical, plan.bad_position
-    t, out_dim, env_dim, _ = v.shape
-    psi = (msgs[:, list(code.message_labels)] @ w).reshape(t, 2**position, 2, -1)
-    # the channel at the damaged site, the environment appended last (apply_erasure)
-    damaged = np.einsum("toei,taib->taobe", v, psi)
-    norm = np.linalg.norm(damaged.reshape(t, -1), axis=1)
+def _trial_chunk(code, w, msgs, v, first) -> list[TrialResult]:
+    """Score T trials: ``w`` is W in (output register, other intact sites,
+    damaged site) column order, ``msgs`` the (T, 2^k) message amplitudes and
+    ``v`` the channels' (T, out * env, 2) columns."""
+    t = len(msgs)
+    psi = (msgs[:, list(code.message_labels)] @ w).reshape(t, -1, 2)
+    # the channel at the damaged site, the environment after its output (apply_erasure)
+    x = (psi @ v.transpose(0, 2, 1)).reshape(t, 2**code.k_logical, -1)
+    parts = x.reshape(t, -1).view(np.float64)  # each amplitude's real and imaginary parts
+    norm = np.sqrt(np.einsum("ti,ti->t", parts, parts))
     _require(np.abs(norm - 1.0) <= NORM_TOL, first, lambda i: f"damaged state norm "
              f"{float(norm[i])!r} differs from 1 by more than {NORM_TOL}")
-
-    # output-register axes first, in the register's order, then everything traced
-    sites = damaged.reshape((t,) + (2,) * position + (out_dim,)
-                            + (2,) * (n - position - 1) + (env_dim,))
-    keep = [1 + s for s in plan.output_register]
-    x = sites.transpose([0] + keep + [a for a in range(1, sites.ndim) if a not in keep])
-    x = x.reshape(t, 2**k, -1)
-    rho = x @ x.conj().transpose(0, 2, 1)
+    rho = x @ x.conj().transpose(0, 2, 1)  # the output register's state, the rest traced out
 
     herm = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
     _require(herm <= HERMITICITY_TOL, first, lambda i: "matrix is not Hermitian within tolerance")
@@ -530,7 +519,7 @@ def _trial_chunk(code, w, plan, msgs, v, first) -> list[TrialResult]:
     overlap = np.einsum("ti,ti->t", msgs.conj(), (rho @ msgs[:, :, None])[:, :, 0]).real
     fidelity = np.minimum(1.0, np.maximum(0.0, overlap))
     purity = np.einsum("tij,tji->t", rho, rho).real
-    return [TrialResult(float(f), float(p)) for f, p in zip(fidelity, purity)]
+    return [TrialResult(f, p) for f, p in zip(fidelity.tolist(), purity.tolist())]
 
 
 def _require(ok: np.ndarray, first: int, message) -> None:

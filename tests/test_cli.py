@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON shape, determinism, config validation."""
 
+import collections
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from erasurelab import cli, noise, verify
+from erasurelab import cli, noise, states, verify
+from erasurelab import codes as codes_mod
 from erasurelab.cli import (
     ConfigError,
     code_from_json_dict,
@@ -20,6 +22,7 @@ from erasurelab.cli import (
     render_json,
 )
 from erasurelab.codes import CodeSpec, six_qubit_logical_basis, w_code
+from erasurelab.states import MessageState
 from test_verify import (dense_overlaps, leaky_hiding_code, reference_block_deviation,
                          reference_kl_row, reported_norm)
 
@@ -330,14 +333,15 @@ class TestRecoverCommand:
     ])
     def test_rows_are_the_per_trial_path_on_the_same_draws(self, capsys, monkeypatch,
                                                             code_name, pos, channel):
-        # fidelity and purity are 1 whatever is drawn, so the stacks the engine
-        # is handed are logged too
+        # fidelity and purity are 1 whatever is drawn, so the messages the
+        # draws are normalized to and the stacks the engine is handed are
+        # logged too
         drawn, seeds = [], []
-        draw_message, stack = CodeSpec.random_amplitudes, cli.ChannelSpec.columns
+        normalize, stack = CodeSpec.message_amplitudes, cli.ChannelSpec.columns
         chunk = verify._trial_chunk
 
-        def logged_message(self, rng):
-            amps = draw_message(self, rng)
+        def logged_messages(self, z):
+            amps = normalize(self, z)
             drawn.append(amps)
             return amps
 
@@ -347,20 +351,20 @@ class TestRecoverCommand:
 
         stacks = []
 
-        def logged_chunk(code, w, plan, msgs, v, first):
+        def logged_chunk(code, w, msgs, v, first):
             stacks.append((msgs, v.reshape(len(v), -1, 2)))
-            return chunk(code, w, plan, msgs, v, first)
+            return chunk(code, w, msgs, v, first)
 
-        monkeypatch.setattr(CodeSpec, "random_amplitudes", logged_message)
+        monkeypatch.setattr(CodeSpec, "message_amplitudes", logged_messages)
         monkeypatch.setattr(cli.ChannelSpec, "columns", logged_columns)
         monkeypatch.setattr(verify, "_trial_chunk", logged_chunk)
-        monkeypatch.setattr(verify, "TRIAL_CHUNK_AMPS", 256)  # several chunks
+        monkeypatch.setattr(verify, "TRIAL_CHUNK_AMPS", 64)  # several chunks of each kind
         code, report, _ = run_json(capsys, "recover", "--code", code_name, "--pos", str(pos),
                                    "--channel", channel, "--trials", "12", "--seed", "17")
         monkeypatch.undo()
         assert code == 0
         assert len(report["trials"]) == 12
-        assert len(stacks) > 1
+        assert len(stacks) > 1 and len(drawn) > 1
 
         config = cli.RunConfig("recover", code_name, 17, 12, 1e-10, bad_position=pos)
         spec = cli.build_code(config)
@@ -368,7 +372,12 @@ class TestRecoverCommand:
         rng = np.random.default_rng(17)
         messages, expected_seeds, columns = [], [], []
         for i, row in enumerate(report["trials"]):
-            message = spec.random_message(rng)
+            # one trial at a time: its (real, imaginary) pairs, normalized
+            # as np.linalg.norm measures them, then its channel seed
+            z = rng.standard_normal((len(spec.message_labels), 2))
+            amps = np.zeros(2**spec.k_logical, dtype=np.complex128)
+            amps[list(spec.message_labels)] = z[:, 0] + 1j * z[:, 1]
+            message = MessageState(spec.k_logical, amps / np.linalg.norm(amps))
             seed = int(rng.integers(0, 2**63 - 1))
             channel_i = parse_channel(channel).build(seed)
             messages.append(message.amps)
@@ -379,7 +388,8 @@ class TestRecoverCommand:
             assert row["index"] == i
             assert abs(row["fidelity"] - want.fidelity) <= 1e-14
             assert abs(row["purity"] - want.purity) <= 1e-14
-        assert np.array_equal(np.stack(drawn), np.stack(messages))
+        # bitwise: the stacked normalization is the per-trial one
+        assert np.array_equal(np.concatenate(drawn), np.stack(messages))
         assert seeds == expected_seeds
         # bitwise: the per-trial loop's draws, stacked in trial order
         assert np.array_equal(np.concatenate([m for m, _ in stacks]), np.stack(messages))
@@ -400,6 +410,30 @@ class TestRecoverCommand:
         assert err.startswith("error: trial 0: damaged state norm") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not abs(reported_norm(err, "damaged state") - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("where", ["message", "channel"])
+    def test_nan_in_a_message_or_a_channel_column_exits_2(self, capsys, monkeypatch, where):
+        normalize, stack = CodeSpec.message_amplitudes, cli.ChannelSpec.columns
+
+        def nan_message(self, z):
+            amps = normalize(self, z).copy()
+            amps[1, 0] = np.nan
+            return amps
+
+        def nan_column(self, seeds):
+            columns = stack(self, seeds).copy()
+            columns[1, 0, 0] = np.nan
+            return columns
+
+        if where == "message":
+            monkeypatch.setattr(CodeSpec, "message_amplitudes", nan_message)
+        else:
+            monkeypatch.setattr(cli.ChannelSpec, "columns", nan_column)
+        code, out, err = run(capsys, "recover", "--pos", "3", "--trials", "3")
+        assert code == 2 and out == ""
+        what = "message" if where == "message" else "damaged state"
+        assert err == (f"error: trial 1: {what} norm nan differs from 1 by more than "
+                       f"{states.NORM_TOL}\n")
 
     @pytest.mark.parametrize("argv", [
         # 512 trials of 2^9 x 2 x 16 damaged amplitudes: an unchunked stack of
@@ -435,6 +469,7 @@ class TestRecoverCommand:
 
         monkeypatch.setattr(verify, "run_recovery_trials", never)
         monkeypatch.setattr(CodeSpec, "random_amplitudes", never)
+        monkeypatch.setattr(CodeSpec, "message_amplitudes", never)
         monkeypatch.setattr(np.random, "default_rng", never)
         code, out, err = run(capsys, "recover", "--pos", "0", "--trials", trials)
         assert code == 2 and out == ""
@@ -701,6 +736,14 @@ class TestJsonRendering:
         {"\u00e9t\u00e9 \u2192 \U0001d400": "\u00fcber \"quoted\"\n", 5: None, True: 1.5},
         [float("nan"), float("inf"), -0.0, 1e-320, np.float64(0.1)],
         ({"deep": [{"x": [1, [2, [3, {}]]]}]},),
+        # rows with one key order: each column formatted in the template or rendered first
+        [{"i": 0, "f": 1.0, "p": 0.5}, {"i": 1, "f": 1 - 2**-53, "p": 1e-300}],
+        [{"i": 0, "f": 1.0}, {"i": True, "f": np.float64(0.25)}, {"i": np.int64(2), "f": 2}],
+        [{"f": float("nan")}, {"f": float("-inf")}, {"f": -0.0}, {"f": 5e-324}],
+        [{"%s %d %%": 1.5, "b": "100%"}, {"%s %d %%": -2, "b": None}],
+        [{"a": {"x": 1}, "b": [1.5, {"c": []}]}, {"a": {"x": 2.5, "y": {}}, "b": []}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{}, {}],
+        [{"a": 1}, [1], {"a": 2}], [collections.OrderedDict(a=1.5), {"a": 2**70}],
     ])
     def test_edge_values_match_the_reference(self, value):
         assert render_json(value) == reference_render(value) + "\n"
@@ -746,9 +789,31 @@ class TestChannelParsing:
 
     def test_bad_specs(self):
         for text in ("pauli:W", "random:", "random:0", "leak:3", "leak:2,4",
-                     "leak:3,0", "leak:3,4,2.0", "gauss:1", "leak:3,4,x"):
+                     "leak:3,0", "leak:3,4,2.0", "gauss:1", "leak:3,4,x", "random:4,4",
+                     "random:-4", "leak:3,4,nan", "leak:3,4,"):
             with pytest.raises(ConfigError):
                 parse_channel(text)
+
+    @pytest.mark.parametrize("spelling", [
+        "random:4_0", "leak:3,4_0", "leak:3_0,4", "random:+4", "random:\u0661", "random:04",
+        "random: 4", "random:4 ", "leak:3,\u0664", "leak:+3,4", "leak:3,4,0.5_0",
+        "leak:3,4,\u0660.5", "leak:3,4, 0.5",
+    ])
+    def test_a_channel_has_one_spelling(self, capsys, spelling):
+        # int() and float() take each of these; the CLI takes none of them
+        code, out, err = run(capsys, "recover", "--pos", "0", "--trials", "2",
+                             "--channel", spelling)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: malformed channel spec {spelling!r}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("spelling, shape", [
+        ("random:4", (2, 4)), ("random:10", (2, 10)), ("leak:3,4", (3, 4)),
+        ("leak:4,2,0.5", (4, 2)), ("leak:3,4,1e-1", (3, 4)), ("leak:3,4,1", (3, 4)),
+    ])
+    def test_the_plain_spellings_still_parse(self, spelling, shape):
+        assert parse_channel(spelling).shape == shape
 
 
 class TestCodeFileFormat:
@@ -792,6 +857,22 @@ class TestCodeFileFormat:
 
 
 class TestBasisBuiltOnlyWhenRead:
+    @pytest.mark.parametrize("argv, builds", [
+        (["verify", "--code", "six"], []),
+        (["recover", "--code", "six", "--pos", "1", "--trials", "2"], []),
+        (["verify", "--code", "hiding:4"], []),
+        (["recover", "--code", "hiding:4", "--pos", "5", "--trials", "2"], []),
+        (["share-demo", "--code", "hiding:4"], [4]),
+    ])
+    def test_only_a_command_that_runs_the_encoder_builds_it(self, monkeypatch, capsys, argv,
+                                                             builds):
+        calls = []
+        real = codes_mod.hiding_encoder
+        monkeypatch.setattr(codes_mod, "hiding_encoder", lambda n: calls.append(n) or real(n))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == builds
+
     def test_share_demo_never_allocates_the_hiding_8_basis(self, capsys):
         tracemalloc.start()
         try:

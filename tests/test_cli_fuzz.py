@@ -211,9 +211,9 @@ def channel_specs(draw):
 def test_channel_spec_fuzz(spec):
     real_haar = noise.haar_unitary
 
-    def capped_haar(dim, rng):
+    def capped_haar(dim, rng, *columns):
         assert dim * dim <= DEFAULT_DIMENSION_CAP, f"haar_unitary({dim}) over the cap"
-        return real_haar(dim, rng)
+        return real_haar(dim, rng, *columns)
 
     with mock.patch.object(noise, "haar_unitary", capped_haar):
         code, err = run_main(["recover", "--code", "six", "--pos", "0", "--trials", "1",

@@ -399,6 +399,48 @@ class TestBuiltinBasis:
         assert ops[0] == ops[1]
 
 
+class TestMessageDraws:
+    """``recover`` normalizes each chunk of message draws in one stacked step;
+    every row must be the draw normalized alone, bit for bit."""
+
+    @pytest.mark.parametrize("code", [six_qubit_logical_basis(), w_code()]
+                             + [hiding_code(n) for n in range(2, 8)], ids=lambda code: code.label)
+    def test_the_stacked_normalization_is_each_draw_normalized_alone(self, code):
+        count, labels = 1000, list(code.message_labels)
+        z = np.random.default_rng(23).standard_normal((count, len(labels), 2))
+        stacked = code.message_amplitudes(z)
+        replay = np.random.default_rng(23)  # the same stream, one draw at a time
+        alone = np.stack([code.random_amplitudes(replay) for _ in range(count)])
+        assert np.array_equal(stacked.view(np.uint64), alone.view(np.uint64))
+        # the per-draw formula: the label amplitudes over np.linalg.norm
+        want = np.zeros((count, 2**code.k_logical), dtype=np.complex128)
+        want[:, labels] = z[..., 0] + 1j * z[..., 1]
+        want = np.stack([amps / np.linalg.norm(amps) for amps in want])
+        assert np.array_equal(stacked.view(np.uint64), want.view(np.uint64))
+
+
+class TestEncoderBuiltOnRead:
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_the_ghz_pair_encoder_is_built_on_first_read_and_kept(self, monkeypatch, n):
+        from erasurelab import codes
+
+        calls = []
+        real = codes.hiding_encoder
+        monkeypatch.setattr(codes, "hiding_encoder", lambda n: calls.append(n) or real(n))
+        code = six_qubit_logical_basis() if n == 3 else hiding_code(n)
+        _ = code.rows, code.support
+        assert calls == []
+        encoder = code.encoder
+        assert code.encoder is encoder and calls == [n]
+        assert ([(o.gate.kind, o.targets) for o in encoder.ops]
+                == [(o.gate.kind, o.targets) for o in real(n).ops])
+
+    def test_an_encoder_given_as_a_circuit_is_kept_as_given(self):
+        bell = hiding_code(1)
+        assert bell.encoder is bell.encoder and isinstance(bell.encoder, Circuit)
+        assert w_code().encoder is None
+
+
 class TestCodeSpecValidation:
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValueError, match="orthonormal"):

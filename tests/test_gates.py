@@ -219,6 +219,22 @@ def test_haar_unitary_stack_is_one_per_generator():
         np.testing.assert_array_equal(u, haar_unitary(6, np.random.default_rng(seed)))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 33])
+def test_haar_columns_are_the_full_unitarys_first_columns(dim):
+    # the stacked channel builders keep 2 columns; the per-seed ones take the full QR
+    seeds = (99, 5, 2**62 + 1)
+    full = haar_unitary(dim, [np.random.default_rng(s) for s in seeds])
+    for columns in {1, 2, dim}:
+        got = haar_unitary(dim, [np.random.default_rng(s) for s in seeds], columns)
+        assert got.shape == (3, dim, min(columns, dim))
+        assert np.array_equal(got.view(np.uint64), full[..., :columns].view(np.uint64))
+    one = np.random.default_rng(7)
+    want = haar_unitary(dim, np.random.default_rng(7))[:, :2]
+    assert np.array_equal(haar_unitary(dim, one, 2), want)
+    # every entry was drawn, so the generator is where the full draw leaves it
+    assert one.standard_normal() == np.random.default_rng(7).standard_normal(2 * dim * dim + 1)[-1]
+
+
 def test_circuit_matrix_matches_kron():
     c = Circuit([op("CNOT", 0, 1)], (2, 2))
     np.testing.assert_allclose(circuit_matrix(c), CNOT_MATRIX, atol=1e-15)

@@ -197,8 +197,8 @@ class TestStackedColumns:
 
         real = noise.haar_unitary
 
-        def with_nan(dim, rngs):
-            u = real(dim, rngs).copy()
+        def with_nan(dim, rngs, *columns):
+            u = real(dim, rngs, *columns).copy()
             u[-1, 0, 0] = np.nan
             return u
 

@@ -11,6 +11,7 @@ from erasurelab.codes import (
     CodeSpec,
     RecoveryPlan,
     hiding_code,
+    hiding_recovery,
     recovery_for,
     six_qubit_logical_basis,
     w_code,
@@ -773,8 +774,15 @@ def stacked_w(code, plan, spec="pauli:I"):
 
 
 def per_label_w(code, plan):
-    return np.stack([plan.apply(code.encode(MessageState.basis(code.k_logical, m))).amps
-                     for m in code.message_labels])
+    """W from the encoder, one label at a time, with its columns in the
+    engine's order: the output register's sites, the other intact sites,
+    then the damaged site, each most significant first."""
+    w = np.stack([plan.apply(code.encode(MessageState.basis(code.k_logical, m))).amps
+                  for m in code.message_labels])
+    n, pos, out = code.n_physical, plan.bad_position, plan.output_register
+    order = list(out) + [s for s in range(n) if s != pos and s not in out] + [pos]
+    bits = np.unravel_index(np.arange(2**n), (2,) * n)  # bit j of a column is site order[j]
+    return w[:, np.ravel_multi_index([bits[order.index(s)] for s in range(n)], (2,) * n)]
 
 
 class TestBatchedTrials:
@@ -805,13 +813,34 @@ class TestBatchedTrials:
         trials = draw_trials(code, spec, 3, np.random.default_rng(seed))
         assert_matches_the_reference(code, recovery_for(pos), parse_channel(spec), trials)
 
-    @pytest.mark.parametrize("spec", TRIAL_CHANNELS)
+    @pytest.mark.parametrize("spec", [f"pauli:{k}" for k in "IXYZ"]
+                             + [f"random:{e}" for e in (1, 2, 4, 8)]
+                             + [f"leak:{d},{e}{w}" for d in (3, 4) for e in (1, 2, 4, 8)
+                                for w in ("", ",0.0", ",0.5", ",1.0")
+                                if (d - 2) * e >= 2 or w == ",0.0"])
     def test_channel_stacks_are_the_per_seed_builds(self, spec):
         channel = parse_channel(spec)
         seeds = [int(s) for s in np.random.default_rng(7).integers(0, 2**63 - 1, size=6)]
         stack = channel.columns(seeds)
         assert stack.shape == (6, channel.shape[0] * channel.shape[1], 2)
         assert np.array_equal(stack, np.stack([channel.build(seed).columns for seed in seeds]))
+
+    @pytest.mark.parametrize("name", ["six", "w5"] + [f"hiding:{n}" for n in (2, 3, 4, 5)])
+    @pytest.mark.parametrize("chunk_amps", [64, verify.TRIAL_CHUNK_AMPS])
+    def test_every_site_matches_the_per_trial_reference(self, monkeypatch, name, chunk_amps):
+        # the plans recover runs: the paper's for six, the Clifford ones for
+        # hiding:n, a synthesized decoder for w5; a small chunk holds one trial
+        code = (six_qubit_logical_basis() if name == "six" else w_code() if name == "w5"
+                else hiding_code(int(name.split(":")[1])))
+        monkeypatch.setattr(verify, "TRIAL_CHUNK_AMPS", chunk_amps)
+        rng = np.random.default_rng(code.n_physical)
+        for pos in range(code.n_physical):
+            plan = (recovery_for(pos) if name == "six" else synthesize_recovery(code, pos)
+                    if name == "w5" else hiding_recovery(code.k_logical, pos))
+            for spec in ("pauli:Y", "random:2", "leak:3,2"):
+                results = assert_matches_the_reference(code, plan, parse_channel(spec),
+                                                       draw_trials(code, spec, 3, rng))
+                assert min(r.fidelity for r in results) >= 1 - 1e-10
 
     def test_chunks_keep_the_trial_order(self, monkeypatch):
         code = six_qubit_logical_basis()
