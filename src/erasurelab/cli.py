@@ -27,9 +27,9 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import noise, verify
-from .gates import apply_circuit, invert_circuit
-from .states import (DEFAULT_DIMENSION_CAP, MessageState, SiteDims,
-                     fidelity_with_pure, partial_trace)
+from .gates import circuit_entries, invert_circuit
+from .states import (DEFAULT_DIMENSION_CAP, NORM_TOL, DensityMatrix, MessageState, SiteDims,
+                     fidelity_with_pure)
 from .verify import (DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS, CheckResult,
                      TrialResult)
 
@@ -343,10 +343,15 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_share_demo(config: RunConfig) -> tuple[int, dict]:
+    """Encode a random secret as entries (``circuit_entries``), report each
+    share's distance from I/2, run the inverse encoder and score the message
+    sites; no 2^2n amplitude vector is built.  A state that fails a check
+    (norm, or a marginal's or the message's Hermiticity, trace or eigenvalue
+    floor) is a configuration error."""
     if not config.code.startswith("hiding:"):
         raise ConfigError("share-demo needs --code hiding:n")
     code = build_code(config)
-    n = code.k_logical
+    n, sites = code.k_logical, code.n_physical
     rng = np.random.default_rng(config.seed)
     if n == 1:
         # the Bell pair only hides a classical bit; a superposition secret
@@ -354,12 +359,27 @@ def cmd_share_demo(config: RunConfig) -> tuple[int, dict]:
         message = MessageState.basis(1, int(rng.integers(2)))
     else:
         message = code.random_message(rng)
-    encoded = code.encode(message)
-    checks = [CheckResult.within(f"marginal_site{s}", dev, config.tolerance)
-              for s, dev in enumerate(verify.marginal_deviations(encoded))]
+    try:
+        # the register state message (x) |0...0>, the ancillas following the message sites
+        idx, val = circuit_entries(np.arange(2**n) << sites - n, message.amps, code.dims,
+                                   code.encoder)
+        norm = float(np.linalg.norm(val))
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
+        marginals = verify.entry_marginals(idx, val, sites)
+        verify.check_density_stack(marginals, "site")
+        checks = [CheckResult.within(f"marginal_site{s}", dev, config.tolerance)
+                  for s, dev in enumerate(np.abs(marginals - np.eye(2) / 2).max(axis=(1, 2)))]
 
-    restored = apply_circuit(encoded, invert_circuit(code.encoder))
-    rho_msg = partial_trace(restored, tuple(range(n)))
+        idx, val = circuit_entries(idx, val, code.dims, invert_circuit(code.encoder))
+        # the message sites' amplitudes, one column per ancilla state that holds any
+        ancilla = idx & (1 << sites - n) - 1
+        held = np.flatnonzero(np.bincount(ancilla))
+        psi = np.zeros((2**n, len(held)), dtype=np.complex128)
+        psi[idx >> sites - n, np.searchsorted(held, ancilla)] = val
+        rho_msg = DensityMatrix(message.dims, psi @ psi.conj().T)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     fid = fidelity_with_pure(rho_msg, message)
     checks.append(CheckResult.within("joint_reconstruction", 1.0 - fid, config.tolerance))
     return _report(config, checks, [TrialResult(fid, rho_msg.purity())])

@@ -44,6 +44,7 @@ _STANDARD = {
 }
 
 GATE_KINDS = frozenset(_STANDARD) | {"CUSTOM"}
+_SPARSE_KINDS = frozenset(["H", "X", "Z", "CNOT", "CZ", "TOFFOLI"])  # circuit_entries runs these
 
 
 class Gate:
@@ -181,14 +182,69 @@ def circuit_rows(amps: np.ndarray, dims: tuple[int, ...], circuit: Circuit) -> n
     """``apply_circuit`` on a flat amplitude vector over ``dims``, or on a
     stack of them (leading axes) with one contraction per op for the whole
     stack.  Checks once that the circuit fits the register."""
-    for c_op in circuit.ops:
-        for t in c_op.targets:
-            if t >= len(dims) or dims[t] != circuit.dims[t]:
-                raise ValueError(f"op {c_op!r} does not fit the state register {tuple(dims)}")
+    _check_fits(circuit, dims)
     # gate unitarity was checked once, at Gate construction (1e-12)
     for c_op in reversed(circuit.ops):
         amps = _contract(amps, dims, c_op.gate.matrix, c_op.targets)
     return amps
+
+
+def _check_fits(circuit: Circuit, dims) -> None:
+    for c_op in circuit.ops:
+        for t in c_op.targets:
+            if t >= len(dims) or dims[t] != circuit.dims[t]:
+                raise ValueError(f"op {c_op!r} does not fit the state register {tuple(dims)}")
+
+
+def circuit_entries(idx: np.ndarray, val: np.ndarray, dims, circuit: Circuit):
+    """``circuit_rows`` on a stack of amplitude rows over ``dims`` kept as
+    entries: ``val[e]`` sits at row ``idx[e] // total``, column ``idx[e] %
+    total``, keys distinct.  Returns the result's nonzero entries, keys ascending.
+
+    X, CNOT and Toffoli send a basis state to a basis state, Z and CZ to a
+    signed one, and H to two (Gottesman, quant-ph/9807006).  So X, CNOT and
+    Toffoli flip the target bit of each key whose controls are set, Z and CZ
+    negate each value whose targets are all set, and H takes the dense
+    contraction's product with each pair of keys that differ in its bit, bit
+    for bit.  Any other op, one whose matrix is not exactly its kind's
+    standard one, or a site that is not a qubit sends the whole circuit
+    through ``circuit_rows``."""
+    _check_fits(circuit, dims)
+    n = len(dims)
+    idx, val = np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.complex128)
+    if any(d != 2 for d in dims) or not all(
+            c_op.gate.kind in _SPARSE_KINDS
+            and np.array_equal(c_op.gate.matrix, _STANDARD[c_op.gate.kind])
+            for c_op in circuit.ops):
+        total = math.prod(dims)
+        dense = np.zeros((int(idx.max(initial=-1)) // total + 1, total), dtype=np.complex128)
+        dense.flat[idx] = val
+        out = circuit_rows(dense, dims, circuit).reshape(-1)
+        idx = np.flatnonzero(out)
+        return idx, out[idx]
+    for c_op in reversed(circuit.ops):
+        kind, bits = c_op.gate.kind, [1 << n - 1 - t for t in c_op.targets]
+        if kind in ("Z", "CZ"):
+            val = np.where(idx & sum(bits) == sum(bits), -val, val)
+        elif kind != "H":  # X, CNOT, TOFFOLI: the last target flips when the others are set
+            idx = idx ^ (idx & sum(bits[:-1]) == sum(bits[:-1])) * bits[-1]
+        else:
+            rest = idx & ~bits[0]
+            order = rest.argsort(kind="stable")
+            rest = rest[order]
+            first = np.ones(len(rest), dtype=bool)  # each pair's first entry
+            first[1:] = rest[1:] != rest[:-1]
+            pairs = np.count_nonzero(first)
+            # at least two columns, so the product is the matrix-matrix one the dense
+            # contraction takes: a lone column would take a matrix-vector product
+            block = np.zeros((2, max(2, pairs)), dtype=np.complex128)
+            block[idx[order] // bits[0] & 1, first.cumsum() - 1] = val[order]
+            val = (c_op.gate.matrix @ block)[:, :pairs].reshape(-1)
+            idx = np.concatenate([rest[first], rest[first] | bits[0]])
+    order = idx.argsort()
+    idx, val = idx[order], val[order]
+    keep = val != 0  # NaN is kept
+    return idx[keep], val[keep]
 
 
 def invert_circuit(circuit: Circuit) -> Circuit:

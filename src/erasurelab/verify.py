@@ -17,11 +17,12 @@ Three families of checks live here:
 * seeded checks: sampled marginals of random messages through the encoder,
   and encode / damage / repair trials measured by fidelity and purity, one
   trial at a time through the encoder (``run_recovery_trial``) or stacked
-  (``run_recovery_trials``, which runs the plan densely on the logical basis,
-  W = plan∘basis, refusing a W of more than ``RECOVERY_MAP_CAP`` entries
-  before building it, orders W's columns as (output register, other intact
-  sites, damaged site), and scores each chunk of trials with three batched
-  products: messages @ W, then the channels' columns, then x x^H).
+  (``run_recovery_trials``, which runs the plan on the logical basis's
+  nonzero entries, W = plan∘basis, refusing a W of more than
+  ``RECOVERY_MAP_CAP`` entries before building it, scatters W with its
+  columns as (output register, other intact sites, damaged site), and
+  scores each chunk of trials with three batched products: messages @ W,
+  then the channels' columns, then x x^H).
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec, RecoveryPlan
-from .gates import GATE_UNITARITY_TOL, PAULI_BY_KIND, Circuit, CircuitOp, circuit_rows, custom_gate
+from .gates import (GATE_UNITARITY_TOL, PAULI_BY_KIND, Circuit, CircuitOp, circuit_entries,
+                    custom_gate)
 from .noise import ErasureEvent, apply_erasure
 from .states import (DEFAULT_DIMENSION_CAP, EIGENVALUE_FLOOR, HERMITICITY_TOL, NORM_TOL,
                      TRACE_TOL, MessageState, fidelity_with_pure, orthonormality_deviation,
@@ -392,6 +394,26 @@ def marginal_deviations(state) -> np.ndarray:
                      for s in range(state.n_sites)])
 
 
+def entry_marginals(idx: np.ndarray, val: np.ndarray, n_sites: int) -> np.ndarray:
+    """The (n, 2, 2) stack of single-site marginals of the n-qubit state whose
+    amplitudes are ``val`` at the ascending, distinct indices ``idx`` and 0
+    elsewhere, in one pass over the entries: rho_s[a, a] is the weight with
+    site s's bit equal to a, and rho_s[0, 1] = sum v[x] conj(v[x | bit]) over
+    the x with the bit clear whose partner is stored.  ``partial_trace(state,
+    (s,))`` is the dense oracle.  NaN anywhere gives NaN marginals."""
+    bits = 1 << np.arange(n_sites - 1, -1, -1)[:, None]  # site s holds bit n - 1 - s
+    weight = val.real**2 + val.imag**2
+    ones = (idx & bits) > 0
+    partner = idx | bits
+    at = np.minimum(np.searchsorted(idx, partner), len(idx) - 1)
+    paired = ~ones & (idx[at] == partner)
+    rho = np.empty((n_sites, 2, 2), dtype=np.complex128)
+    rho[:, 0, 0], rho[:, 1, 1] = ~ones @ weight, ones @ weight
+    rho[:, 0, 1] = np.where(paired, val * val[at].conj(), 0).sum(axis=1)
+    rho[:, 1, 0] = rho[:, 0, 1].conj()
+    return rho
+
+
 def check_hiding(
     code: CodeSpec,
     trials: int = DEFAULT_TRIALS,
@@ -445,10 +467,11 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
 
     The plan never touches its bad position and a channel touches only that
     site and a new environment, so the two commute: plan∘encode is one fixed
-    (L, D) map W, the plan run once on ``code.basis`` (only the reference,
-    ``run_recovery_trial``, runs the encoder).  W's columns are put once in
-    (output register, other intact sites, damaged site) order, so T trials
-    take three batched products and no transposed copy: psi = messages @ W,
+    (L, D) map W, the plan run once, by ``circuit_entries``, on the nonzeros
+    of ``code.rows`` keyed (row << n) | column (only the reference,
+    ``run_recovery_trial``, runs the encoder).  W is scattered once with its
+    columns in (output register, other intact sites, damaged site) order, so
+    T trials take three batched products: psi = messages @ W,
     shaped (T, 2^k R, 2); the damaged states x = psi @ V^T, shaped (T, 2^k,
     R out env); and the output register's states rho = x x^H.  A chunk holds
     at most ``TRIAL_CHUNK_AMPS`` damaged amplitudes, and at most as many
@@ -472,10 +495,15 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
     if size > RECOVERY_MAP_CAP:
         raise ValueError(f"recovery map of {len(code.message_labels)} x 2^{n} amplitudes "
                          f"({size}) exceeds the cap {RECOVERY_MAP_CAP}")
-    w = circuit_rows(code.basis, code.dims, plan.circuit).reshape((-1,) + (2,) * n)
+    i, j = code.rows.nonzero()
+    keys, values = circuit_entries(i << n | code.support[j], code.rows[i, j], code.dims,
+                                   plan.circuit)
     rest = [s for s in range(n) if s != position and s not in plan.output_register]
-    w = w.transpose([0] + [1 + s for s in (*plan.output_register, *rest, position)])
-    w = w.reshape(len(code.message_labels), -1)
+    column = 0  # each key's column with its site bits in W's order, the first most significant
+    for site in (*plan.output_register, *rest, position):
+        column = column << 1 | keys >> n - 1 - site & 1
+    w = np.zeros((len(code.message_labels), 2**n), dtype=np.complex128)
+    w[keys >> n, column] = values
     rows = int(np.prod(channel.shape))
     # a channel's columns come from square matrices of at most rows^2 entries
     per_chunk = max(1, TRIAL_CHUNK_AMPS // max(2 ** (n - 1) * rows, rows * rows))
@@ -507,23 +535,29 @@ def _trial_chunk(code, w, msgs, v, first) -> list[TrialResult]:
     _require(np.abs(norm - 1.0) <= NORM_TOL, first, lambda i: f"damaged state norm "
              f"{float(norm[i])!r} differs from 1 by more than {NORM_TOL}")
     rho = x @ x.conj().transpose(0, 2, 1)  # the output register's state, the rest traced out
-
-    herm = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
-    _require(herm <= HERMITICITY_TOL, first, lambda i: "matrix is not Hermitian within tolerance")
-    tr = np.trace(rho, axis1=1, axis2=2)
-    _require(np.abs(tr - 1.0) <= TRACE_TOL, first,
-             lambda i: f"trace {complex(tr[i])!r} differs from 1 by more than {TRACE_TOL}")
-    _require(np.linalg.eigvalsh(rho).min(axis=1) >= EIGENVALUE_FLOOR, first,
-             lambda i: "matrix has an eigenvalue below the PSD floor")
-
+    check_density_stack(rho, "trial", first)
     overlap = np.einsum("ti,ti->t", msgs.conj(), (rho @ msgs[:, :, None])[:, :, 0]).real
     fidelity = np.minimum(1.0, np.maximum(0.0, overlap))
     purity = np.einsum("tij,tji->t", rho, rho).real
     return [TrialResult(f, p) for f, p in zip(fidelity.tolist(), purity.tolist())]
 
 
-def _require(ok: np.ndarray, first: int, message) -> None:
-    """Raise for the first trial where ``ok`` is not True; NaN is never ok."""
+def check_density_stack(rho: np.ndarray, what: str, first: int = 0) -> None:
+    """The checks ``DensityMatrix`` makes, on a (T, d, d) stack: Hermitian,
+    unit trace, no eigenvalue below the floor.  Raises ValueError naming the
+    first failing matrix as ``what`` and its index, counted from ``first``."""
+    herm = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
+    _require(herm <= HERMITICITY_TOL, first, lambda i: "matrix is not Hermitian within tolerance",
+             what)
+    tr = np.trace(rho, axis1=1, axis2=2)
+    _require(np.abs(tr - 1.0) <= TRACE_TOL, first,
+             lambda i: f"trace {complex(tr[i])!r} differs from 1 by more than {TRACE_TOL}", what)
+    _require(np.linalg.eigvalsh(rho).min(axis=1) >= EIGENVALUE_FLOOR, first,
+             lambda i: "matrix has an eigenvalue below the PSD floor", what)
+
+
+def _require(ok: np.ndarray, first: int, message, what: str = "trial") -> None:
+    """Raise for the first item where ``ok`` is not True; NaN is never ok."""
     bad = np.flatnonzero(~ok)
     if bad.size:
-        raise ValueError(f"trial {first + bad[0]}: {message(bad[0])}")
+        raise ValueError(f"{what} {first + bad[0]}: {message(bad[0])}")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from erasurelab import cli, noise, states, verify
+from erasurelab import cli, gates, noise, states, verify
 from erasurelab import codes as codes_mod
 from erasurelab.cli import (
     ConfigError,
@@ -22,6 +22,7 @@ from erasurelab.cli import (
     render_json,
 )
 from erasurelab.codes import CodeSpec, six_qubit_logical_basis, w_code
+from erasurelab.gates import apply_circuit, invert_circuit
 from erasurelab.states import MessageState
 from test_verify import (dense_overlaps, leaky_hiding_code, reference_block_deviation,
                          reference_kl_row, reported_norm)
@@ -538,6 +539,51 @@ class TestShareDemoCommand:
         code, _, err = run(capsys, "share-demo", "--code", "six")
         assert code == 2
         assert "hiding:n" in err
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_report_is_the_dense_round_trip(self, capsys, monkeypatch, n):
+        # the dense register, encoder, partial traces and inverse the command used to run
+        def refuse(*args):
+            raise AssertionError("share-demo ran a dense contraction")
+
+        for seed in (1, 2):
+            with monkeypatch.context() as mp:
+                mp.setattr(gates, "circuit_rows", refuse)
+                code, report, _ = run_json(capsys, "share-demo", "--code", f"hiding:{n}",
+                                           "--seed", str(seed))
+            assert code == 0
+            hiding = codes_mod.hiding_code(n)
+            rng = np.random.default_rng(seed)
+            message = (MessageState.basis(1, int(rng.integers(2))) if n == 1
+                       else hiding.random_message(rng))
+            encoded = hiding.encode(message)
+            restored = apply_circuit(encoded, invert_circuit(hiding.encoder))
+            rho = states.partial_trace(restored, tuple(range(n)))
+            want = [*verify.marginal_deviations(encoded),
+                    1 - states.fidelity_with_pure(rho, message)]
+            got = [row["worst_deviation"] for row in report["checks"]]
+            assert np.max(np.abs(np.array(got) - np.maximum(want, 0))) <= 1e-15
+            assert all(row["pass"] for row in report["checks"])
+            assert report["trials"][0]["purity"] == pytest.approx(rho.purity(), abs=1e-15)
+
+    @pytest.mark.parametrize("damage, message", [
+        # the encoder's entries: a NaN fails the norm check
+        (lambda calls, idx, val: (idx[:1], np.array([np.nan + 0j])), "error: state norm nan"),
+        # the inverse's entries: a state of norm 2 fails the message's trace check
+        (lambda calls, idx, val: (idx, val * (1 if calls == 1 else 2)), "error: trace"),
+    ])
+    def test_a_failed_state_check_is_one_error_line(self, capsys, monkeypatch, damage, message):
+        real, calls = cli.circuit_entries, []
+
+        def damaged(*args):
+            calls.append(args)
+            return damage(len(calls), *real(*args))
+
+        monkeypatch.setattr(cli, "circuit_entries", damaged)
+        code, out, err = run(capsys, "share-demo", "--code", "hiding:3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestDeterminismAndOutput:
