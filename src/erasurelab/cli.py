@@ -28,8 +28,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import noise, verify
 from .gates import circuit_entries, invert_circuit
-from .states import (DEFAULT_DIMENSION_CAP, NORM_TOL, DensityMatrix, MessageState, SiteDims,
-                     fidelity_with_pure)
+from .states import DEFAULT_DIMENSION_CAP, NORM_TOL, MessageState, SiteDims, gram_scores
 from .verify import (DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS, CheckResult,
                      TrialResult)
 
@@ -343,11 +342,11 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_share_demo(config: RunConfig) -> tuple[int, dict]:
-    """Encode a random secret as entries (``circuit_entries``), report each
-    share's distance from I/2, run the inverse encoder and score the message
-    sites; no 2^2n amplitude vector is built.  A state that fails a check
-    (norm, or a marginal's or the message's Hermiticity, trace or eigenvalue
-    floor) is a configuration error."""
+    """Encode a random secret as entries (``circuit_entries``), report each share's
+    distance from I/2, run the inverse encoder and score the message sites from the Gram
+    matrix of their rows, one per held ancilla state (``gram_scores``), with no 2^2n vector
+    or 2^n x 2^n matrix.  A state that fails a check (norm, or a marginal's or the Gram
+    matrix's Hermiticity, trace or eigenvalue floor) is a configuration error."""
     if not config.code.startswith("hiding:"):
         raise ConfigError("share-demo needs --code hiding:n")
     code = build_code(config)
@@ -372,17 +371,16 @@ def cmd_share_demo(config: RunConfig) -> tuple[int, dict]:
                   for s, dev in enumerate(np.abs(marginals - np.eye(2) / 2).max(axis=(1, 2)))]
 
         idx, val = circuit_entries(idx, val, code.dims, invert_circuit(code.encoder))
-        # the message sites' amplitudes, one column per ancilla state that holds any
+        # the message sites' amplitudes, one row per ancilla state that holds any
         ancilla = idx & (1 << sites - n) - 1
         held = np.flatnonzero(np.bincount(ancilla))
-        psi = np.zeros((2**n, len(held)), dtype=np.complex128)
-        psi[idx >> sites - n, np.searchsorted(held, ancilla)] = val
-        rho_msg = DensityMatrix(message.dims, psi @ psi.conj().T)
+        branches = np.zeros((len(held), 2**n), dtype=np.complex128)
+        branches[np.searchsorted(held, ancilla), idx >> sites - n] = val
+        fid, purity = gram_scores(branches, message)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    fid = fidelity_with_pure(rho_msg, message)
     checks.append(CheckResult.within("joint_reconstruction", 1.0 - fid, config.tolerance))
-    return _report(config, checks, [TrialResult(fid, rho_msg.purity())])
+    return _report(config, checks, [TrialResult(fid, purity)])
 
 
 def _default_seed() -> int:

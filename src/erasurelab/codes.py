@@ -280,10 +280,9 @@ _RECOVERY_OPS = {
 def recovery_for(bad_position: int) -> RecoveryPlan:
     """Full decode-plus-repair plan for one bad site of the six-qubit code:
     the repair gates written before the decoder's, so the decoder runs first."""
-    if bad_position not in _RECOVERY_OPS:
-        raise ValueError(f"bad position {bad_position} out of range 0..5")
+    decoder = decoder_for(bad_position)  # refuses a position outside 0..5
     repair = [op(kind, *targets) for kind, *targets in _RECOVERY_OPS[bad_position]]
-    circuit = Circuit(repair + list(decoder_for(bad_position).ops), SiteDims.qubits(6))
+    circuit = Circuit(repair + list(decoder.ops), SiteDims.qubits(6))
     output_register = (3, 4, 5) if bad_position in (0, 1, 2) else (0, 1, 2)
     return RecoveryPlan(bad_position, circuit, output_register)
 

@@ -75,7 +75,9 @@ class Gate:
         return self.matrix.shape[0]
 
     def dagger(self) -> "Gate":
-        return Gate(self.kind, self.matrix.conj().T)
+        """The adjoint: the gate itself if exactly Hermitian (every standard gate)."""
+        adjoint = self.matrix.conj().T
+        return self if np.array_equal(adjoint, self.matrix) else Gate(self.kind, adjoint)
 
     def __repr__(self) -> str:
         return f"Gate({self.kind}, arity={self.arity})"

@@ -106,13 +106,7 @@ class DensityMatrix:
         d = self.dims.total
         if matrix.shape != (d, d):
             raise ValueError(f"matrix shape {matrix.shape} does not match register dimension {d}")
-        if not np.max(np.abs(matrix - matrix.conj().T)) <= HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        tr = complex(np.trace(matrix))
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
-        if not float(np.min(np.linalg.eigvalsh(matrix))) >= EIGENVALUE_FLOOR:
-            raise ValueError("matrix has an eigenvalue below the PSD floor")
+        check_density_stack(matrix[None])
         self.matrix = _frozen(matrix)
 
     def purity(self) -> float:
@@ -120,6 +114,28 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dims={tuple(self.dims)})"
+
+
+def check_density_stack(rho: np.ndarray, what: str | None = None, first: int = 0) -> None:
+    """The checks ``DensityMatrix`` makes, on a (T, d, d) stack: Hermitian,
+    unit trace, no eigenvalue below the floor.  Raises ValueError naming the
+    first failing matrix as ``what`` and its index, counted from ``first``;
+    with no ``what``, the message alone."""
+    herm = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2), initial=0.0)
+    _require(herm <= HERMITICITY_TOL, first, lambda i: "matrix is not Hermitian within tolerance",
+             what)
+    tr = np.trace(rho, axis1=1, axis2=2)
+    _require(np.abs(tr - 1.0) <= TRACE_TOL, first,
+             lambda i: f"trace {complex(tr[i])!r} differs from 1 by more than {TRACE_TOL}", what)
+    _require(np.linalg.eigvalsh(rho).min(axis=1) >= EIGENVALUE_FLOOR, first,
+             lambda i: "matrix has an eigenvalue below the PSD floor", what)
+
+
+def _require(ok: np.ndarray, first: int, message, what: str | None = "trial") -> None:
+    """Raise for the first item where ``ok`` is not True; NaN is never ok."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(("" if what is None else f"{what} {first + bad[0]}: ") + message(bad[0]))
 
 
 class MessageState(PureState):
@@ -227,3 +243,16 @@ def fidelity_with_pure(rho: DensityMatrix, target: PureState) -> float:
         raise ValueError(f"register mismatch: {rho.dims} vs {target.dims}")
     val = complex(np.vdot(target.amps, rho.matrix @ target.amps))
     return float(min(1.0, max(0.0, val.real)))
+
+
+def gram_scores(branches: np.ndarray, target: PureState) -> tuple[float, float]:
+    """Fidelity with ``target`` and purity of the kept sites of sum_a |b_a>|a>, from the (h, d)
+    rows b_a, one per traced state a that holds any amplitude: rho = sum_a |b_a><b_a| has the
+    nonzero spectrum of G_ab = <b_a|b_b> (Schmidt), so G gets rho's checks, tr rho^2 =
+    sum |G_ab|^2, and <t|rho|t> = sum_a |<t|b_a>|^2, clamped as ``fidelity_with_pure`` does."""
+    # vdot on contiguous rows: a matrix product, or strided rows, lands up to 1.5e-15 further off
+    gram = np.array([np.vdot(a, b) for a in branches for b in branches], dtype=np.complex128)
+    check_density_stack(gram.reshape(1, len(branches), len(branches)))
+    overlap = np.array([np.vdot(target.amps, b) for b in branches])
+    fidelity = float(np.vdot(overlap, overlap).real)
+    return min(1.0, max(0.0, fidelity)), float(np.vdot(gram, gram).real)

@@ -36,8 +36,8 @@ from .codes import CodeSpec, RecoveryPlan
 from .gates import (GATE_UNITARITY_TOL, PAULI_BY_KIND, Circuit, CircuitOp, circuit_entries,
                     custom_gate)
 from .noise import ErasureEvent, apply_erasure
-from .states import (DEFAULT_DIMENSION_CAP, EIGENVALUE_FLOOR, HERMITICITY_TOL, NORM_TOL,
-                     TRACE_TOL, MessageState, fidelity_with_pure, orthonormality_deviation,
+from .states import (DEFAULT_DIMENSION_CAP, NORM_TOL, MessageState, _require,
+                     check_density_stack, fidelity_with_pure, orthonormality_deviation,
                      partial_trace)
 
 DEFAULT_TOLERANCE = 1e-10
@@ -432,12 +432,8 @@ def check_hiding(
     return VerificationReport(checks=checks)
 
 
-def run_recovery_trial(
-    code: CodeSpec,
-    message: MessageState,
-    event: ErasureEvent,
-    plan,
-) -> TrialResult:
+def run_recovery_trial(code: CodeSpec, message: MessageState, event: ErasureEvent,
+                       plan) -> TrialResult:
     """Encode, damage one site, run the plan, and score the output register.
 
     ``plan`` needs only ``apply`` and ``output_register``, as a
@@ -449,10 +445,7 @@ def run_recovery_trial(
     damaged = apply_erasure(encoded, event)
     repaired = plan.apply(damaged)
     rho = partial_trace(repaired, plan.output_register)
-    return TrialResult(
-        fidelity=fidelity_with_pure(rho, message),
-        purity=rho.purity(),
-    )
+    return TrialResult(fidelity_with_pure(rho, message), rho.purity())
 
 
 def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> list[TrialResult]:
@@ -540,24 +533,3 @@ def _trial_chunk(code, w, msgs, v, first) -> list[TrialResult]:
     fidelity = np.minimum(1.0, np.maximum(0.0, overlap))
     purity = np.einsum("tij,tji->t", rho, rho).real
     return [TrialResult(f, p) for f, p in zip(fidelity.tolist(), purity.tolist())]
-
-
-def check_density_stack(rho: np.ndarray, what: str, first: int = 0) -> None:
-    """The checks ``DensityMatrix`` makes, on a (T, d, d) stack: Hermitian,
-    unit trace, no eigenvalue below the floor.  Raises ValueError naming the
-    first failing matrix as ``what`` and its index, counted from ``first``."""
-    herm = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
-    _require(herm <= HERMITICITY_TOL, first, lambda i: "matrix is not Hermitian within tolerance",
-             what)
-    tr = np.trace(rho, axis1=1, axis2=2)
-    _require(np.abs(tr - 1.0) <= TRACE_TOL, first,
-             lambda i: f"trace {complex(tr[i])!r} differs from 1 by more than {TRACE_TOL}", what)
-    _require(np.linalg.eigvalsh(rho).min(axis=1) >= EIGENVALUE_FLOOR, first,
-             lambda i: "matrix has an eigenvalue below the PSD floor", what)
-
-
-def _require(ok: np.ndarray, first: int, message, what: str = "trial") -> None:
-    """Raise for the first item where ``ok`` is not True; NaN is never ok."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValueError(f"{what} {first + bad[0]}: {message(bad[0])}")

@@ -10,6 +10,7 @@ from erasurelab.gates import (
     CircuitOp,
     Gate,
     apply_circuit,
+    circuit_entries,
     circuit_rows,
     custom_gate,
     haar_unitary,
@@ -17,6 +18,7 @@ from erasurelab.gates import (
     op,
     standard_gate,
 )
+from erasurelab.codes import hiding_encoder
 from erasurelab.states import PureState, SiteDims, apply_local_operator
 
 from conftest import random_state
@@ -191,6 +193,40 @@ class TestInversion:
         inv = invert_circuit(c)
         assert [o.gate.kind for o in inv.ops] == ["H", "CNOT"]
         assert [o.targets for o in inv.ops] == [(0,), (0, 1)]
+
+    @pytest.mark.parametrize("kind", sorted(gates._STANDARD))
+    def test_a_standard_gate_is_its_own_dagger(self, kind):
+        assert standard_gate(kind).dagger() is standard_gate(kind)
+
+    def test_a_non_hermitian_gate_gets_a_new_checked_adjoint(self, monkeypatch):
+        g = custom_gate(np.diag([1, 1j]))
+        checked = []
+        real = gates.orthonormality_deviation
+        monkeypatch.setattr(gates, "orthonormality_deviation",
+                            lambda m: checked.append(m.copy()) or real(m))
+        adjoint = g.dagger()
+        assert adjoint is not g and adjoint.kind == "CUSTOM"
+        assert np.array_equal(adjoint.matrix, np.diag([1, -1j]))
+        assert len(checked) == 1 and np.array_equal(checked[0], adjoint.matrix)
+        assert not adjoint.matrix.flags.writeable
+        assert standard_gate("X").dagger() is standard_gate("X") and len(checked) == 1
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_the_inverse_hiding_encoder_runs_on_the_entries(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("the inverse encoder ran a dense contraction")
+
+        monkeypatch.setattr(gates, "circuit_rows", refuse)
+        encoder = hiding_encoder(n)
+        inverse = invert_circuit(encoder)
+        assert all(o.gate is standard_gate(o.gate.kind) for o in inverse.ops)
+        amps = np.random.default_rng(n).standard_normal(2**n) + 0j
+        start = np.arange(2**n) << n
+        idx, val = circuit_entries(start, amps, encoder.dims, encoder)
+        idx, val = circuit_entries(idx, val, encoder.dims, inverse)
+        got, want = np.zeros(4**n, dtype=np.complex128), np.zeros(4**n, dtype=np.complex128)
+        got[idx], want[start] = val, amps  # H pairs may leave a rounding residue
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_inverse_undoes_random_circuit(self):
         rng = np.random.default_rng(17)
