@@ -8,15 +8,17 @@ Three families of checks live here:
   single-operator form for an erasure at a known position, and maximally
   mixed single-site marginals (``certify`` gives all three at every site,
   for sparse codes from every site's stored entries, ``overlap_entries``),
+  each scored from the tensor's 2x2 blocks by one scorer, ``_score_blocks``,
 * numerical synthesis of a recovery unitary from the same tensor, which
   refuses whenever the code cannot correct the erasure; the decoder is a
   ``RecoveryPlan`` whose circuit is one ``CUSTOM`` gate on the intact
   sites.  ``recover`` synthesizes only for codes without a circuit plan
   (w5, the Bell pair), since the dense decoder is capped at
   ``SYNTHESIS_DIM_CAP`` rest amplitudes,
-* seeded checks: sampled marginals of random messages through the encoder,
-  and encode / damage / repair trials measured by fidelity and purity, one
-  trial at a time through the encoder (``run_recovery_trial``) or stacked
+* seeded checks: marginals of random messages through the encoder, from
+  the encoded nonzeros (``site_deviations``), and encode / damage / repair
+  trials measured by fidelity and purity, one trial at a time through the
+  encoder (``run_recovery_trial``) or stacked
   (``run_recovery_trials``, which runs the plan on the logical basis's
   nonzero entries, W = plan∘basis, refusing a W of more than
   ``RECOVERY_MAP_CAP`` entries before building it, scatters W with its
@@ -47,7 +49,7 @@ RANK_CUTOFF = 1e-12
 SYNTHESIS_DIM_CAP = 1024
 RECOVERY_MAP_CAP = 2**21  # entries of W = plan∘encode: hiding:7's (128, 2^14), 32 MiB
 TRIALS_CAP = 100_000  # recover --trials: the report keeps one row per trial
-TRIAL_CHUNK_AMPS = DEFAULT_DIMENSION_CAP // 16  # damaged amplitudes per stacked chunk
+TRIAL_CHUNK_AMPS = DEFAULT_DIMENSION_CAP // 16  # amplitudes or block entries per stacked chunk
 PAULIS = np.stack([PAULI_BY_KIND[k] for k in "IXYZ"])
 PAULIS.setflags(write=False)
 
@@ -156,52 +158,58 @@ def sector_overlaps(code: CodeSpec, position: int) -> np.ndarray:
     return (sectors.conj() @ sectors.T).reshape(n_logical, 2, n_logical, 2)
 
 
-def _block_deviation(overlaps: np.ndarray, g: np.ndarray) -> float:
-    """max |O[i, :, j, :] - delta_ij g|.  NaN anywhere gives NaN."""
-    dev = overlaps.copy()
-    np.einsum("iaib->iab", dev)[...] -= g  # the diagonal blocks, as a view
-    return float(np.max(np.abs(dev)))
+def _blocks(overlaps: list[np.ndarray]):
+    """``_score_blocks``'s input from some sites' ``sector_overlaps``
+    tensors: every block B = O[i, :, j, :], in (site, i, j) order."""
+    # the one copy, made straight into (a, b, site, i, j) order
+    blocks = np.stack([o.transpose(1, 3, 0, 2) for o in overlaps], axis=2)
+    n_sites, n_logical = blocks.shape[2:4]
+    blocks = blocks.reshape(4, -1)
+    diag = np.tile(np.eye(n_logical, dtype=bool).ravel(), n_sites)
+    return blocks, diag, np.arange(n_sites) * n_logical**2
 
 
-def _kl_row(name: str, overlaps: np.ndarray, ops: np.ndarray, tolerance: float) -> CheckResult:
-    """<i|M|j> must be delta_ij times a constant, for every M in ``ops``: the
-    row is the larger of max |<i|M|j>| over i != j and max |<i|M|i> -
-    <j|M|j>|.  NaN anywhere gives NaN, which fails every tolerance."""
-    side = overlaps.shape[0]
-    m = ops.reshape(len(ops), 4) @ overlaps.transpose(1, 3, 0, 2).reshape(4, side * side)
-    diag = m[:, :: side + 1]
-    off = np.abs(m)
-    off[:, :: side + 1] = 0  # a NaN there still reaches the spread
-    spread = np.abs(diag[:, :, None] - diag[:, None, :])
-    return CheckResult.within(name, np.maximum(off.max(), spread.max()), tolerance)
+def _score_blocks(blocks, diag, sites, ops=PAULIS, g=None):
+    """Per-site deviations of overlap blocks B = O[i, :, j, :]: column c of
+    ``blocks`` holds B[a, b] at row 2a + b, ``diag[c]`` marks i == j, and a
+    site's blocks, all L diagonal ones among them, start at its ``sites`` column.
+
+    Returns, per site, the KL deviation for ``ops``, the larger of max
+    |<i|M|j>| over i != j and the spread of <i|M|i> = sum_ab M[a, b] B[a, b]
+    over i, and max |B - delta_ij g| (g = I/2 by default).  The spread, the
+    hypot of the real and imaginary ranges, bounds max |<i|M|i> - <j|M|j>|
+    above and equals it when each <i|M|i> is real.  NaN gives NaN rows."""
+    g = (PAULIS[0] / 2 if g is None else g).reshape(4, 1)
+    m = ops.reshape(len(ops), 4) @ blocks
+    off = np.where(diag, 0, np.abs(m).max(axis=0))
+    dev = np.abs(blocks).max(axis=0)
+    dev[diag] = np.abs(blocks[:, diag] - g).max(axis=0)
+    worst = np.maximum.reduceat(np.stack([off, dev]), sites, axis=1)
+    d = m[:, diag].reshape(len(ops), len(sites), -1)
+    spread = np.hypot(np.ptp(d.real, axis=2), np.ptp(d.imag, axis=2)).max(axis=0)
+    return np.maximum(worst[0], spread), worst[1]
 
 
 def _pair_products(operators) -> np.ndarray:
     return np.stack([a.conj().T @ b for a in operators for b in operators])
 
 
-def check_kl_general(
-    code: CodeSpec,
-    errors: ErrorOperatorSet,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
+def check_kl_general(code: CodeSpec, errors: ErrorOperatorSet,
+                     tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Pairwise conditions: <i|A_a^dag A_b|j> must be delta_ij times a
     constant that does not depend on the logical index, for every pair."""
-    overlaps = sector_overlaps(code, errors.position)
-    products = _pair_products(errors.operators)
-    check = _kl_row(f"kl_general_pos{errors.position}", overlaps, products, tolerance)
-    return VerificationReport(checks=(check,))
+    p = errors.position
+    (kl,), _ = _score_blocks(*_blocks([sector_overlaps(code, p)]),
+                             _pair_products(errors.operators))
+    return VerificationReport((CheckResult.within(f"kl_general_pos{p}", kl, tolerance),))
 
 
-def check_erasure_kl(
-    code: CodeSpec,
-    position: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
+def check_erasure_kl(code: CodeSpec, position: int,
+                     tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Single-operator conditions for a known erased site: every Pauli must
     have equal diagonal matrix elements and no off-diagonal ones."""
-    check = _kl_row(f"erasure_kl_pos{position}", sector_overlaps(code, position), PAULIS, tolerance)
-    return VerificationReport(checks=(check,))
+    (kl,), _ = _score_blocks(*_blocks([sector_overlaps(code, position)]))
+    return VerificationReport((CheckResult.within(f"erasure_kl_pos{position}", kl, tolerance),))
 
 
 def overlap_entries(code: CodeSpec, max_pairs: float = np.inf):
@@ -245,40 +253,29 @@ def certify(code: CodeSpec, tolerance: float = DEFAULT_TOLERANCE) -> Verificatio
     (``kl_general_pos*``), the erasure conditions (``erasure_kl_pos*``) and
     exact marginal hiding (``hiding_site*``), in that order.  Each product
     P_a^dag P_b is a unit phase times a Pauli, so both KL rows carry the one
-    Pauli contraction's worst deviation.  NaN in a site's O fails its rows.
+    Pauli contraction's worst deviation.  Tr_rest |j><i| at a site is
+    O[i, :, j, :] transposed, so every message's marginal there is I/2 iff
+    O = delta_ij I/2.  NaN in a site's O fails its rows.
 
     A code whose splits pair up at most L n |support| nonzeros, no more than
-    all dense splits hold, is certified from the stored entries of every
-    site's O at once, as a 2x2 block B = O[i, :, j, :] per stored (i, j)
-    (each site stores all L diagonal ones: every row has a nonzero).  Any
-    other code takes one dense sector-overlap tensor per site."""
+    all dense splits hold, is scored from the stored entries of every site's
+    O at once (each site stores all L diagonal blocks: every row has a
+    nonzero); any other from dense tensors, ``TRIAL_CHUNK_AMPS`` entries at a time."""
     n, n_logical = code.n_physical, len(code.message_labels)
     if (entries := overlap_entries(code, n_logical * n * len(code.support))) is not None:
         keys, values = entries
         pairs = keys >> 2  # (p * L + i) * L + j
         new = np.concatenate(([True], pairs[1:] != pairs[:-1]))  # each block's first entry
-        blocks = np.zeros((np.count_nonzero(new), 4), dtype=np.complex128)
-        blocks[new.cumsum() - 1, keys & 3] = values
+        blocks = np.zeros((4, np.count_nonzero(new)), dtype=np.complex128)
+        blocks[keys & 3, new.cumsum() - 1] = values
         pairs = pairs[new]
-        diag = pairs // n_logical % n_logical == pairs % n_logical
-        paulis = PAULIS.reshape(4, 4)
-        m = blocks @ paulis.T  # <i|P|j>
-        off = np.where(diag, 0, np.abs(m).max(axis=1))  # max |<i|P|j>| over i != j
-        dev = np.abs(blocks - diag[:, None] * paulis[0] / 2).max(axis=1)  # |B - delta_ij I/2|
-        sites = np.searchsorted(pairs, np.arange(n) * n_logical**2)  # each site's first block
-        worst = np.maximum.reduceat(np.stack([off, dev], axis=1), sites)
-        # bounds max |<i|P|i> - <j|P|j>| above; equal to it when each <i|P|i> is real
-        d = m[diag].reshape(n, n_logical, 4)
-        spread = np.hypot(np.ptp(d.real, axis=1), np.ptp(d.imag, axis=1))
-        kl, hiding = np.maximum(worst[:, 0], spread.max(axis=1)), worst[:, 1]
+        kl, hiding = _score_blocks(blocks, pairs // n_logical % n_logical == pairs % n_logical,
+                                   np.searchsorted(pairs, np.arange(n) * n_logical**2))
     else:
-        kl, hiding = [], []
-        for p in range(n):
-            overlaps = sector_overlaps(code, p)
-            kl.append(_kl_row(f"erasure_kl_pos{p}", overlaps, PAULIS, tolerance).worst_deviation)
-            # Tr_rest |j><i| at the site is O[i, :, j, :] transposed, so every
-            # encoded message has marginal I/2 iff O = delta_ij I/2
-            hiding.append(_block_deviation(overlaps, np.eye(2) / 2))
+        per = max(1, TRIAL_CHUNK_AMPS // (4 * n_logical**2))
+        chunks = [range(n)[first:first + per] for first in range(0, n, per)]
+        kl, hiding = map(np.concatenate, zip(*(
+            _score_blocks(*_blocks([sector_overlaps(code, p) for p in c])) for c in chunks)))
     rows = (("kl_general_pos", kl), ("erasure_kl_pos", kl), ("hiding_site", hiding))
     return VerificationReport(checks=tuple(CheckResult.within(f"{name}{p}", deviation, tolerance)
                                            for name, column in rows
@@ -325,7 +322,7 @@ def synthesize_recovery(
     sectors = _sectors(code, position, np.arange(2**code.n_physical)).reshape(n_logical, 2, -1)
     diagonal = np.arange(n_logical)
     gram = overlaps[diagonal, :, diagonal, :].mean(axis=0)
-    worst = _block_deviation(overlaps, gram)
+    worst = float(_score_blocks(*_blocks([overlaps]), g=gram)[1][0])
     if not worst <= tolerance:
         raise RecoverySynthesisError(
             f"logical sectors at site {position} do not have the overlap structure "
@@ -386,14 +383,6 @@ def synthesize_recovery(
     return RecoveryPlan(position, Circuit([CircuitOp(gate, rest)], code.dims), output_register)
 
 
-def marginal_deviations(state) -> np.ndarray:
-    """max |rho_s - I/2| for the marginal rho_s of each qubit site s of
-    ``state``.  NaN anywhere gives NaN."""
-    half = np.eye(2) / 2
-    return np.array([np.max(np.abs(partial_trace(state, (s,)).matrix - half))
-                     for s in range(state.n_sites)])
-
-
 def entry_marginals(idx: np.ndarray, val: np.ndarray, n_sites: int) -> np.ndarray:
     """The (n, 2, 2) stack of single-site marginals of the n-qubit state whose
     amplitudes are ``val`` at the ascending, distinct indices ``idx`` and 0
@@ -414,6 +403,14 @@ def entry_marginals(idx: np.ndarray, val: np.ndarray, n_sites: int) -> np.ndarra
     return rho
 
 
+def site_deviations(idx: np.ndarray, val: np.ndarray, n_sites: int) -> np.ndarray:
+    """max |rho_s - I/2| for each marginal rho_s (``entry_marginals``), once
+    ``check_density_stack`` passes them all; its ValueError names the site."""
+    marginals = entry_marginals(idx, val, n_sites)
+    check_density_stack(marginals, "site")
+    return np.abs(marginals - np.eye(2) / 2).max(axis=(1, 2))
+
+
 def check_hiding(
     code: CodeSpec,
     trials: int = DEFAULT_TRIALS,
@@ -421,13 +418,15 @@ def check_hiding(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """Encode seeded random messages and compare every single-site marginal
-    against the maximally mixed state."""
+    against the maximally mixed state, from each encoded state's nonzeros."""
     if trials < 1:
         raise ValueError(f"check_hiding needs at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     worst = np.zeros(code.n_physical)
     for _ in range(trials):
-        worst = np.maximum(worst, marginal_deviations(code.encode(code.random_message(rng))))
+        amps = code.encode(code.random_message(rng)).amps
+        idx = np.flatnonzero(amps)
+        worst = np.maximum(worst, site_deviations(idx, amps[idx], code.n_physical))
     checks = tuple(CheckResult.within(f"hiding_site{s}", w, tolerance) for s, w in enumerate(worst))
     return VerificationReport(checks=checks)
 

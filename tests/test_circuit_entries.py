@@ -12,9 +12,10 @@ from erasurelab.codes import (decoder_for, hiding_code, hiding_encoder, hiding_r
 from erasurelab.gates import (HADAMARD, Circuit, CircuitOp, Gate, circuit_entries,
                               circuit_rows, custom_gate, haar_unitary, invert_circuit, op)
 from erasurelab.states import MessageState, PureState, partial_trace
-from erasurelab.verify import CheckResult, entry_marginals, marginal_deviations
+from erasurelab.verify import CheckResult, entry_marginals
 
 from conftest import random_state
+from test_verify import marginal_deviations
 
 SWAP = np.eye(4)[[0, 2, 1, 3]]
 

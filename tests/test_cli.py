@@ -24,8 +24,8 @@ from erasurelab.cli import (
 from erasurelab.codes import CodeSpec, six_qubit_logical_basis, w_code
 from erasurelab.gates import apply_circuit, invert_circuit
 from erasurelab.states import MessageState
-from test_verify import (dense_overlaps, leaky_hiding_code, reference_block_deviation,
-                         reference_kl_row, reported_norm)
+from test_verify import (build_channel, dense_overlaps, dense_route, leaky_hiding_code,
+                         marginal_deviations, reported_norm)
 
 # the benchmark's command grids, imported from its own directory
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -213,8 +213,8 @@ class TestVerifyCommand:
             path = argv[argv.index("--code-file") + 1]
             assert len(cli.load_code_file(path).support) == 64
         monkeypatch.setattr(verify, "sector_overlaps", dense_overlaps)
-        monkeypatch.setattr(verify, "_kl_row", reference_kl_row)
-        monkeypatch.setattr(verify, "_block_deviation", reference_block_deviation)
+        monkeypatch.setattr(verify, "certify", lambda code, tolerance: verify.VerificationReport(
+            tuple(dense_route(code, tolerance))))
         assert [run(capsys, *argv) for argv in files] == got
         assert [code for code, _, _ in got] == [0, 1]  # rotated six passes, random fails
 
@@ -380,7 +380,7 @@ class TestRecoverCommand:
             amps[list(spec.message_labels)] = z[:, 0] + 1j * z[:, 1]
             message = MessageState(spec.k_logical, amps / np.linalg.norm(amps))
             seed = int(rng.integers(0, 2**63 - 1))
-            channel_i = parse_channel(channel).build(seed)
+            channel_i = build_channel(parse_channel(channel), seed)
             messages.append(message.amps)
             expected_seeds.append(seed)
             columns.append(channel_i.columns)
@@ -559,7 +559,7 @@ class TestShareDemoCommand:
             encoded = hiding.encode(message)
             restored = apply_circuit(encoded, invert_circuit(hiding.encoder))
             rho = states.partial_trace(restored, tuple(range(n)))
-            want = [*verify.marginal_deviations(encoded),
+            want = [*marginal_deviations(encoded),
                     1 - states.fidelity_with_pure(rho, message)]
             got = [row["worst_deviation"] for row in report["checks"]]
             assert np.max(np.abs(np.array(got) - np.maximum(want, 0))) <= 1e-15
@@ -703,6 +703,25 @@ class TestConfigValidation:
         capsys.readouterr()
         assert main(["recover"]) == 2  # --pos is required
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, names", [
+        ([], "command"),  # no subcommand
+        (["recover"], "--pos"),  # --pos is required
+        (["recover", "--pos", "0", "--trials", "abc"], "'abc'"),
+        (["verify", "--bogus"], "--bogus"),
+        (["verify", "--trials", "5"], "--trials 5"),
+    ])
+    def test_usage_errors_print_one_error_line(self, capsys, argv, names):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert names in err
+
+    def test_help_still_prints_the_usage(self, capsys):
+        code, out, err = run(capsys, "recover", "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: erasurelab recover") and "--channel" in out
 
 
 def reference_render(value, indent: int = 0) -> str:

@@ -162,14 +162,23 @@ def reference_block_deviation(overlaps, g):
 
 
 def dense_route(code, tolerance=1e-10):
-    """certify's rows from one sector-overlap tensor per site, its dense
-    route: the oracle for the stored-entry path."""
-    half, n = np.eye(2) / 2, code.n_physical
-    kl = [check_erasure_kl(code, p, tolerance).checks[0].worst_deviation for p in range(n)]
-    hiding = [verify._block_deviation(verify.sector_overlaps(code, p), half) for p in range(n)]
+    """certify's rows from one sector-overlap tensor per site and the
+    reference row formulas: the oracle for both of certify's routes."""
+    half = np.eye(2) / 2
+    overlaps = [verify.sector_overlaps(code, p) for p in range(code.n_physical)]
+    kl = [reference_kl_row("", o, verify.PAULIS, tolerance).worst_deviation for o in overlaps]
+    hiding = [reference_block_deviation(o, half) for o in overlaps]
     return [CheckResult.within(f"{name}{p}", dev, tolerance)
             for name, devs in (("kl_general_pos", kl), ("erasure_kl_pos", kl),
                                ("hiding_site", hiding)) for p, dev in enumerate(devs)]
+
+
+def marginal_deviations(state):
+    """max |rho_s - I/2| for the partial trace rho_s at each qubit site of
+    ``state``: the dense oracle for ``verify.site_deviations``."""
+    half = np.eye(2) / 2
+    return np.array([np.max(np.abs(partial_trace(state, (s,)).matrix - half))
+                     for s in range(state.n_sites)])
 
 
 def scattered_entries(code, keys, values):
@@ -395,34 +404,91 @@ class TestSupport:
         for p in range(code.n_physical):
             overlaps = sector_overlaps(code, p)
             for ops in (verify._pair_products(verify.PAULIS), verify.PAULIS):
-                got = verify._kl_row("row", overlaps, ops, 1e-10)
-                assert got == reference_kl_row("row", overlaps, ops, 1e-10)
-            assert (verify._block_deviation(overlaps, half)
-                    == reference_block_deviation(overlaps, half))
+                (kl,), (dev,) = verify._score_blocks(*verify._blocks([overlaps]), ops)
+                assert kl == reference_kl_row("row", overlaps, ops, 1e-10).worst_deviation
+            assert dev == reference_block_deviation(overlaps, half)
 
     @pytest.mark.parametrize("at", [(0, 0, 0, 0), (0, 0, 1, 1), (2, 1, 5, 0)])
     def test_non_finite_overlaps_give_nan_rows(self, at):
         overlaps = sector_overlaps(six_qubit_logical_basis(), 0).copy()
         overlaps[at] = np.nan
         for ops in (verify._pair_products(verify.PAULIS), verify.PAULIS):
-            assert np.isnan(verify._kl_row("row", overlaps, ops, 1e-10).worst_deviation)
-        assert np.isnan(verify._block_deviation(overlaps, np.eye(2) / 2))
+            kl, dev = verify._score_blocks(*verify._blocks([overlaps]), ops)
+            assert np.isnan(kl).all() and np.isnan(dev).all()
 
     @pytest.mark.parametrize("code", [locally_rotated(c, np.random.default_rng(3))
                                       for c in (six_qubit_logical_basis(), hiding_code(4))],
                              ids=["rotated-six", "rotated-hiding-4"])
     def test_certify_contracts_each_site_once(self, code, monkeypatch):
         # full-support codes take the dense route, one tensor per site
-        calls, real = [], verify._kl_row
-
-        def counted(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(verify, "_kl_row", counted)
+        calls, real = [], verify.sector_overlaps
+        monkeypatch.setattr(verify, "sector_overlaps",
+                            lambda code, p: calls.append(p) or real(code, p))
         report = certify(code)
-        assert calls == [f"erasure_kl_pos{p}" for p in range(code.n_physical)]
+        assert calls == list(range(code.n_physical))
         assert report.passed
+
+
+def exact_spread(blocks, diag, ops):
+    """max |<i|M|i> - <j|M|j>| over every pair of diagonal blocks of one site."""
+    d = (ops.reshape(len(ops), 4) @ blocks)[:, diag]
+    return np.abs(d[:, :, None] - d[:, None, :]).max()
+
+
+class TestBlockScorer:
+    """The one scorer of every per-site overlap certificate."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_spread_bounds_the_pairwise_spread_and_meets_it_for_real_diagonals(self, seed):
+        # diagonal blocks only, so the KL row is the spread, with entries in
+        # halves of small integers, so every <i|M|i> and range is exact
+        n_logical = 5
+        re, im = np.random.default_rng(seed).integers(-3, 4, (2, 2, 2, n_logical))
+        diag = np.eye(n_logical, dtype=bool).ravel()
+        for hermitian in (False, True):
+            b = re + 1j * im  # b[a, b, i] = B_i[a, b]
+            if hermitian:  # then <i|M|i> = Tr(M B_i^T) is real, or imaginary for M = iP
+                b = (b + b.conj().transpose(1, 0, 2)) / 2
+            blocks = np.zeros((4, n_logical**2), dtype=np.complex128)
+            blocks[:, diag] = b.reshape(4, n_logical)
+            for ops in (verify.PAULIS, verify._pair_products(verify.PAULIS)):
+                (kl,), _ = verify._score_blocks(blocks, diag, np.array([0]), ops)
+                want = exact_spread(blocks, diag, ops)
+                assert kl == want if hermitian else kl >= want
+
+    def test_the_bound_is_strict_for_complex_diagonals(self):
+        # <i|I|i> = 0, 2 and 1 + 1j: pairwise at most 2, bound hypot(2, 1)
+        diag = np.eye(3, dtype=bool).ravel()
+        blocks = np.zeros((4, 9), dtype=np.complex128)
+        blocks[0, diag] = [0, 2, 1 + 1j]
+        (kl,), _ = verify._score_blocks(blocks, diag, np.array([0]), verify.PAULIS[:1])
+        assert exact_spread(blocks, diag, verify.PAULIS[:1]) == 2.0
+        assert kl == np.hypot(2.0, 1.0)
+
+    def test_nan_in_any_block_entry_gives_nan_rows(self):
+        code = six_qubit_logical_basis()
+        clean = verify._blocks([sector_overlaps(code, p) for p in (0, 1)])
+        size = clean[0].shape[1] // 2
+        for ops in (verify.PAULIS, verify._pair_products(verify.PAULIS)):
+            for row, column in np.ndindex(clean[0].shape):
+                blocks = clean[0].copy()
+                blocks[row, column] = np.nan
+                kl, dev = verify._score_blocks(blocks, *clean[1:], ops)
+                site = column // size
+                assert np.isnan(kl[site]) and np.isnan(dev[site])
+                assert np.isfinite(kl[1 - site]) and np.isfinite(dev[1 - site])
+
+    def test_dense_chunks_give_the_dense_oracle_rows(self, monkeypatch):
+        # 4 L^2 = TRIAL_CHUNK_AMPS entries a site at L = 128, so one site per chunk
+        code = random_subspace_code(np.random.default_rng(21), 8, 128)
+        assert 4 * 128**2 == verify.TRIAL_CHUNK_AMPS
+        calls, real = [], verify._score_blocks
+        monkeypatch.setattr(verify, "_score_blocks",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        got = certify(code).checks
+        assert len(calls) == code.n_physical
+        assert list(got) == dense_route(code)
+        assert not any(c.passed for c in got)
 
 
 SPARSE_CODES = [six_qubit_logical_basis(), w_code()] + [hiding_code(n) for n in range(2, 9)] + [
@@ -659,9 +725,23 @@ class TestHidingCheck:
 
     def test_marginal_deviations_are_each_sites_distance_from_half(self):
         state = PureState((2, 2, 2), np.eye(8)[0b010])  # |010>: every marginal is pure
-        np.testing.assert_array_equal(verify.marginal_deviations(state), [0.5, 0.5, 0.5])
+        np.testing.assert_array_equal(marginal_deviations(state), [0.5, 0.5, 0.5])
+        np.testing.assert_array_equal(verify.site_deviations(np.array([0b010]), np.ones(1), 3),
+                                      [0.5, 0.5, 0.5])
         ghz = six_qubit_logical_basis().encode(MessageState.basis(3, 5))
-        assert np.max(verify.marginal_deviations(ghz)) <= 1e-15
+        assert np.max(marginal_deviations(ghz)) <= 1e-15
+        idx = np.flatnonzero(ghz.amps)
+        assert np.max(verify.site_deviations(idx, ghz.amps[idx], 6)) <= 1e-15
+
+    @pytest.mark.parametrize("code", [six_qubit_logical_basis(), w_code(), hiding_code(4),
+                                      leaky_hiding_code()], ids=lambda c: c.label)
+    def test_reads_each_encoded_state_off_its_nonzeros(self, code, monkeypatch):
+        rng = np.random.default_rng(3)
+        want = np.max([marginal_deviations(code.encode(code.random_message(rng)))
+                       for _ in range(4)], axis=0)
+        monkeypatch.setattr(verify, "partial_trace", lambda *args: pytest.fail("dense trace"))
+        got = [c.worst_deviation for c in check_hiding(code, trials=4, seed=3).checks]
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-15
 
     def test_reports_are_reproducible(self):
         a = check_hiding(six_qubit_logical_basis(), trials=4, seed=11)
@@ -707,6 +787,16 @@ TRIAL_CHANNELS = ("pauli:I", "pauli:X", "pauli:Y", "pauli:Z", "random:1", "rando
                   "leak:3,4", "leak:4,2,0.0", "leak:4,2,1.0")
 
 
+def build_channel(channel, seed):
+    """The channel of a parsed ``--channel`` value for one trial seed, built
+    by the noise module directly: the per-trial reference for its stacks."""
+    if channel.kind == "pauli":
+        return pauli_error(channel.pauli_kind)
+    if channel.kind == "random":
+        return random_decoherence(seed, channel.env_dim)
+    return leakage_decoherence(seed, channel.leak_dim, channel.env_dim, channel.leak_weight)
+
+
 def draw_trials(code, spec, count, rng):
     """Seeded message rows and channel seeds, drawn as `recover` draws them."""
     return [(code.random_message(rng).amps, int(rng.integers(0, 2**63 - 1)))
@@ -715,12 +805,12 @@ def draw_trials(code, spec, count, rng):
 
 def assert_matches_the_reference(code, plan, channel, trials):
     """The engine against `run_recovery_trial` on each trial's message and
-    the channel `channel.build(seed)` at the plan's site, one at a time."""
+    the channel `build_channel(channel, seed)` at the plan's site, one at a time."""
     batched = run_recovery_trials(code, plan, channel, iter(trials))
     assert len(batched) == len(trials)
     for got, (amps, seed) in zip(batched, trials):
         message = MessageState(code.k_logical, amps)
-        event = ErasureEvent(plan.bad_position, channel.build(seed))
+        event = ErasureEvent(plan.bad_position, build_channel(channel, seed))
         want = run_recovery_trial(code, message, event, plan)
         assert abs(got.fidelity - want.fidelity) <= 1e-14
         assert abs(got.purity - want.purity) <= 1e-14
@@ -823,7 +913,7 @@ class TestBatchedTrials:
         seeds = [int(s) for s in np.random.default_rng(7).integers(0, 2**63 - 1, size=6)]
         stack = channel.columns(seeds)
         assert stack.shape == (6, channel.shape[0] * channel.shape[1], 2)
-        assert np.array_equal(stack, np.stack([channel.build(seed).columns for seed in seeds]))
+        assert np.array_equal(stack, np.stack([build_channel(channel, seed).columns for seed in seeds]))
 
     @pytest.mark.parametrize("name", ["six", "w5"] + [f"hiding:{n}" for n in (2, 3, 4, 5)])
     @pytest.mark.parametrize("chunk_amps", [64, verify.TRIAL_CHUNK_AMPS])
@@ -885,7 +975,7 @@ class TestBatchedTrials:
         channel = parse_channel("random:4")
         trials = draw_trials(code, "random:4", 3, np.random.default_rng(5))
         for amps, seed in trials:
-            event = ErasureEvent(0, channel.build(seed))
+            event = ErasureEvent(0, build_channel(channel, seed))
             wrong = run_recovery_trial(code, MessageState(3, amps), event, recovery_for(3))
             assert wrong.fidelity < 1 - 1e-6
 
