@@ -41,33 +41,29 @@ class ConfigError(ValueError):
 
 @dataclass
 class ChannelSpec:
-    """Parsed --channel value; columns() builds its channels for trial seeds."""
+    """A parsed --channel value: a Pauli (``pauli_kind``), or else the seeded channel
+    ``noise.decoherence_columns`` builds from ``env_dim``, ``leak_dim`` (2 for random:)
+    and ``leak_weight``.  ``columns(seeds)`` builds its channels for trial seeds."""
 
-    kind: str
-    pauli_kind: str = "I"
-    env_dim: int = noise.DEFAULT_ENV_DIM
-    leak_dim: int = 3
+    pauli_kind: str | None = None
+    env_dim: int = 1
+    leak_dim: int = 2
     leak_weight: float | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         """(output site dimension, environment dimension) of every channel."""
-        if self.kind == "pauli":
-            return 2, 1
-        return (self.leak_dim if self.kind == "leak" else 2), self.env_dim
+        return self.leak_dim, self.env_dim
 
     def check_size(self, n_sites: int) -> None:
         """Refuse, before anything is allocated, a channel whose damaged
         n-qubit register or whose Haar matrices (side squared) would exceed
         the dimension cap."""
-        if self.kind == "pauli":
-            return
         sizes = {
-            "damaged register dimension": 2 ** (n_sites - 1) * self.shape[0] * self.env_dim,
+            "damaged register dimension": 2 ** (n_sites - 1) * self.leak_dim * self.env_dim,
             "channel Haar matrix size": (2 * self.env_dim) ** 2,
+            "leak block Haar matrix size": ((self.leak_dim - 2) * self.env_dim) ** 2,
         }
-        if self.kind == "leak":
-            sizes["leak block Haar matrix size"] = ((self.leak_dim - 2) * self.env_dim) ** 2
         for what, size in sizes.items():
             if size > DEFAULT_DIMENSION_CAP:
                 raise ConfigError(f"{what} {size} exceeds the cap {DEFAULT_DIMENSION_CAP}")
@@ -76,22 +72,9 @@ class ChannelSpec:
         """The columns of each seed's ``noise`` channel as one (T, out * env, 2)
         stack: a Pauli is built once and broadcast, and each Haar block of
         the seeded channels is one batched QR of the two columns kept."""
-        if self.kind == "pauli":
+        if self.pauli_kind is not None:
             return np.broadcast_to(noise.pauli_error(self.pauli_kind).columns, (len(seeds), 2, 2))
-        return noise.decoherence_columns(seeds, self.env_dim, self.shape[0], self.leak_weight)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    code: str
-    seed: int
-    trials: int | None
-    tolerance: float
-    bad_position: int | None = None
-    channel: ChannelSpec | None = None
-    code_file: str | None = None
-    out: str | None = None
+        return noise.decoherence_columns(seeds, self.env_dim, self.leak_dim, self.leak_weight)
 
 
 def _count(text: str) -> int:
@@ -103,13 +86,14 @@ def _count(text: str) -> int:
 
 
 def parse_channel(text: str) -> ChannelSpec:
-    """The --channel value, each count spelled as ``_count`` allows and the
-    leak weight in ASCII digits, '.', exponent and signs only."""
+    """The --channel value, each count spelled as ``_count`` allows and the leak weight in
+    ASCII digits, '.', exponent and signs only.  Every rule on the spec is checked here,
+    before a code is built: a leak of weight other than 0 needs room for two images."""
     kind, _, rest = text.partition(":")
     if kind == "pauli":
         if rest not in ("I", "X", "Y", "Z"):
             raise ConfigError(f"unknown Pauli kind {rest!r}")
-        return ChannelSpec(kind="pauli", pauli_kind=rest)
+        return ChannelSpec(pauli_kind=rest)
     if kind not in ("random", "leak"):
         raise ConfigError(f"unknown channel kind {kind!r}; expected pauli:, random:, or leak:")
     parts = rest.split(",")
@@ -122,14 +106,18 @@ def parse_channel(text: str) -> ChannelSpec:
         weight = float(parts[2]) if len(parts) == 3 else None
     except ValueError as exc:
         raise ConfigError(f"malformed channel spec {text!r}: {exc}") from exc
-    leak_dim, env_dim = counts if kind == "leak" else (3, counts[0])
-    if leak_dim < 3:
+    leak_dim, env_dim = counts if kind == "leak" else (2, counts[0])
+    if kind == "leak" and leak_dim < 3:
         raise ConfigError("leak dimension must be at least 3")
     if env_dim < 1:
         raise ConfigError("environment dimension must be at least 1")
     if weight is not None and not 0.0 <= weight <= 1.0:
         raise ConfigError("leak weight must lie in [0, 1]")
-    return ChannelSpec(kind=kind, leak_dim=leak_dim, env_dim=env_dim, leak_weight=weight)
+    leak_levels = (leak_dim - 2) * env_dim
+    if kind == "leak" and leak_levels < 2 and weight != 0.0:
+        raise ConfigError("leaked subspace too small for two orthonormal images; "
+                          f"need (leak_dim - 2) * env_dim >= 2, got {leak_levels}")
+    return ChannelSpec(leak_dim=leak_dim, env_dim=env_dim, leak_weight=weight)
 
 
 def _parse_hiding(text: str, lo: int) -> int:
@@ -143,7 +131,7 @@ def _parse_hiding(text: str, lo: int) -> int:
     return n
 
 
-def build_code(config: RunConfig) -> codes_mod.CodeSpec:
+def build_code(config: argparse.Namespace) -> codes_mod.CodeSpec:
     if config.code_file is not None:
         return load_code_file(config.code_file)
     text = config.code
@@ -261,7 +249,7 @@ def _render_dicts(rows, inner: str) -> list[str]:
     return [template % values for values in zip(*columns)]
 
 
-def _report(config: RunConfig, checks, trials=()) -> tuple[int, dict]:
+def _report(config: argparse.Namespace, checks, trials=()) -> tuple[int, dict]:
     """The exit code, 0 iff every check passed, and the JSON report of the
     ``CheckResult`` rows and ``TrialResult`` trials."""
     report = {
@@ -279,28 +267,26 @@ def _report(config: RunConfig, checks, trials=()) -> tuple[int, dict]:
     return (0 if all(c.passed for c in checks) else 1), report
 
 
-def cmd_verify(config: RunConfig) -> tuple[int, dict]:
+def cmd_verify(config: argparse.Namespace) -> tuple[int, dict]:
     return _report(config, verify.certify(build_code(config), config.tolerance).checks)
 
 
-def recovery_plan(config: RunConfig, code: codes_mod.CodeSpec) -> codes_mod.RecoveryPlan:
-    """The plan ``recover`` runs for ``config.bad_position`` of ``code``: the
+def recovery_plan(config: argparse.Namespace, code: codes_mod.CodeSpec) -> codes_mod.RecoveryPlan:
+    """The plan ``recover`` runs for ``config.pos`` of ``code``: the
     paper's circuits for six, the Clifford circuits for hiding:n with
     n >= 2, and a synthesized decoder for every other code (which refuses
     the Bell pair, hiding:1, with a ``RecoverySynthesisError``)."""
     if config.code == "six":
-        return codes_mod.recovery_for(config.bad_position)
+        return codes_mod.recovery_for(config.pos)
     if config.code.startswith("hiding:") and code.k_logical >= 2:
-        return codes_mod.hiding_recovery(code.k_logical, config.bad_position)
-    return verify.synthesize_recovery(code, config.bad_position, tolerance=config.tolerance)
+        return codes_mod.hiding_recovery(code.k_logical, config.pos)
+    return verify.synthesize_recovery(code, config.pos, tolerance=config.tolerance)
 
 
-def cmd_recover(config: RunConfig) -> tuple[int, dict]:
+def cmd_recover(config: argparse.Namespace) -> tuple[int, dict]:
     code = build_code(config)
-    if not 0 <= config.bad_position < code.n_physical:
-        raise ConfigError(
-            f"position {config.bad_position} out of range for {code.n_physical} sites"
-        )
+    if not 0 <= config.pos < code.n_physical:
+        raise ConfigError(f"position {config.pos} out of range for {code.n_physical} sites")
     config.channel.check_size(code.n_physical)
     try:
         plan = recovery_plan(config, code)
@@ -324,8 +310,8 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
     try:
         results = verify.run_recovery_trials(code, plan, config.channel, trials())
     except ValueError as exc:
-        # e.g. leak:3,1 with a nonzero weight: the leaked subspace cannot host
-        # two orthonormal images, which only surfaces when a channel is built
+        # a trial that fails a check (a message's or a damaged state's norm,
+        # a channel's isometry) is a configuration error, not a measurement
         raise ConfigError(str(exc)) from exc
     checks = [CheckResult.within("min_fidelity", 1.0 - min(r.fidelity for r in results),
                                  config.tolerance),
@@ -334,7 +320,7 @@ def cmd_recover(config: RunConfig) -> tuple[int, dict]:
     return _report(config, checks, results)
 
 
-def cmd_share_demo(config: RunConfig) -> tuple[int, dict]:
+def cmd_share_demo(config: argparse.Namespace) -> tuple[int, dict]:
     """Encode a random secret as entries (``circuit_entries``), report each share's
     distance from I/2, run the inverse encoder and score the message sites from the Gram
     matrix of their rows, one per held ancilla state (``gram_scores``), with no 2^2n vector
@@ -398,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certify and exercise erasure-correcting codes with hidden marginals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # what a subcommand lacks reads as absent
+    parser.set_defaults(code_file=None, trials=None, pos=None, channel=None)
 
     def add_common(p: argparse.ArgumentParser, certify: bool = False) -> None:
         group = p.add_mutually_exclusive_group() if certify else None
@@ -426,27 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    trials = getattr(args, "trials", None)
-    if trials is not None and not 1 <= trials <= verify.TRIALS_CAP:
-        raise ConfigError(f"trial count {trials} outside 1..{verify.TRIALS_CAP}")
-    tolerance = float(args.tolerance)
-    if not 0 < tolerance < 1:
-        raise ConfigError(f"tolerance must lie in (0, 1), got {tolerance!r}")
-    return RunConfig(
-        command=args.command,
-        code=args.code,
-        seed=seed,
-        trials=trials,
-        tolerance=tolerance,
-        bad_position=getattr(args, "pos", None),
-        channel=parse_channel(args.channel) if hasattr(args, "channel") else None,
-        code_file=getattr(args, "code_file", None),
-        out=args.out,
-    )
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The one place a run's inputs are checked: resolve and check the seed,
+    check the trial count and the tolerance, and parse --channel, all in
+    place on ``args``, which every command then reads."""
+    if args.seed is None:
+        args.seed = _default_seed()
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
+    if args.trials is not None and not 1 <= args.trials <= verify.TRIALS_CAP:
+        raise ConfigError(f"trial count {args.trials} outside 1..{verify.TRIALS_CAP}")
+    if not 0 < args.tolerance < 1:
+        raise ConfigError(f"tolerance must lie in (0, 1), got {args.tolerance!r}")
+    if args.channel is not None:
+        args.channel = parse_channel(args.channel)
+    return args
 
 
 _COMMANDS = {
@@ -463,18 +445,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        exit_code, report = _COMMANDS[args.command](config)
+        exit_code, report = _COMMANDS[args.command](_config_from_args(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render_json(report)
-    if config.out is not None:
+    if args.out is not None:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write report to {config.out!r}: {exc}", file=sys.stderr)
+            print(f"error: cannot write report to {args.out!r}: {exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .gates import Circuit, apply_circuit, op
+from .gates import Circuit, apply_circuit, circuit_entries, op
 from .states import MessageState, PureState, SiteDims, _frozen
 
 GRAM_TOL = 1e-12
@@ -155,14 +155,16 @@ class CodeSpec:
         return PureState(self.dims, amps)
 
     def encode(self, message: MessageState) -> PureState:
-        """Encode through the encoding circuit when one exists, else the basis."""
+        """Encode through the encoding circuit when one exists, run on the entries of
+        message (x) |0...0>, the ancillas following the message sites, else the basis."""
         if self.encoder is None:
             return self.logical_combination(message)
         self._check_support(message.amps)
-        # the register state message (x) |0...0>, the ancillas following the message sites
-        padded = np.zeros(2**self.n_physical, dtype=np.complex128)
-        padded[:: 2 ** (self.n_physical - self.k_logical)] = message.amps
-        return apply_circuit(PureState(self.dims, padded), self.encoder)
+        idx, val = circuit_entries(np.arange(2**self.k_logical) << self.n_physical - self.k_logical,
+                                   message.amps, self.dims, self.encoder)
+        amps = np.zeros(2**self.n_physical, dtype=np.complex128)
+        amps[idx] = val
+        return PureState(self.dims, amps)
 
     def random_message(self, rng: np.random.Generator) -> MessageState:
         return MessageState(self.k_logical, self.random_amplitudes(rng))

@@ -81,7 +81,9 @@ class TestVerifyCommand:
         code, report, err = run_json(capsys, "verify", "--code", "hiding:3")
         assert code == 0 and err == ""
         assert report["meta"]["code"] == "hiding:3"
-        want = verify.certify(cli.build_code(cli.RunConfig("verify", "hiding:3", 42, None, 1e-10)))
+        args = cli.build_parser().parse_args(["verify", "--code", "hiding:3"])
+        config = cli._config_from_args(args)
+        want = verify.certify(cli.build_code(config))
         assert [(c["name"], c["pass"], c["worst_deviation"]) for c in report["checks"]] == [
             (c.name, c.passed, c.worst_deviation) for c in want.checks]
 
@@ -329,8 +331,27 @@ class TestRecoverCommand:
         assert "leaked subspace" in err
 
     @pytest.mark.parametrize("code_name, pos, channel", [
+        # hiding:1 has no decoder to synthesize; hiding:7 has the largest rows and W recover builds
+        ("six", 0, "leak:3,1,0.5"), ("hiding:1", 0, "leak:3,1,0.5"), ("hiding:7", 3, "leak:3,1"),
+    ])
+    def test_an_under_capacity_leak_is_refused_before_the_code_is_used(
+            self, capsys, monkeypatch, code_name, pos, channel):
+        def never(*args, **kwargs):
+            raise AssertionError("the leak channel was not refused first")
+
+        monkeypatch.setattr(CodeSpec, "rows", property(never))
+        monkeypatch.setattr(verify, "run_recovery_trials", never)
+        monkeypatch.setattr(verify, "synthesize_recovery", never)
+        code, out, err = run(capsys, "recover", "--code", code_name, "--pos", str(pos),
+                             "--channel", channel)
+        assert code == 2 and out == ""
+        assert err == ("error: leaked subspace too small for two orthonormal images; "
+                       "need (leak_dim - 2) * env_dim >= 2, got 1\n")
+
+    @pytest.mark.parametrize("code_name, pos, channel", [
         ("six", 2, "leak:3,4"), ("six", 5, "random:4"), ("w5", 2, "random:2"),
         ("six", 1, "pauli:Y"), ("hiding:3", 4, "leak:4,2"), ("hiding:5", 9, "random:4"),
+        ("six", 0, "leak:3,1,0"), ("w5", 3, "leak:4,1"),
     ])
     def test_rows_are_the_per_trial_path_on_the_same_draws(self, capsys, monkeypatch,
                                                             code_name, pos, channel):
@@ -367,7 +388,8 @@ class TestRecoverCommand:
         assert len(report["trials"]) == 12
         assert len(stacks) > 1 and len(drawn) > 1
 
-        config = cli.RunConfig("recover", code_name, 17, 12, 1e-10, bad_position=pos)
+        config = cli._config_from_args(cli.build_parser().parse_args(
+            ["recover", "--code", code_name, "--pos", str(pos), "--seed", "17", "--trials", "12"]))
         spec = cli.build_code(config)
         plan = cli.recovery_plan(config, spec)
         rng = np.random.default_rng(17)
@@ -855,7 +877,9 @@ class TestChannelParsing:
     def test_bad_specs(self):
         for text in ("pauli:W", "random:", "random:0", "leak:3", "leak:2,4",
                      "leak:3,0", "leak:3,4,2.0", "gauss:1", "leak:3,4,x", "random:4,4",
-                     "random:-4", "leak:3,4,nan", "leak:3,4,"):
+                     "random:-4", "leak:3,4,nan", "leak:3,4,",
+                     # no room for two orthonormal leaked images, and a weight not given as 0
+                     "leak:3,1", "leak:3,1,0.5", "leak:3,1,1"):
             with pytest.raises(ConfigError):
                 parse_channel(text)
 
@@ -876,6 +900,7 @@ class TestChannelParsing:
     @pytest.mark.parametrize("spelling, shape", [
         ("random:4", (2, 4)), ("random:10", (2, 10)), ("leak:3,4", (3, 4)),
         ("leak:4,2,0.5", (4, 2)), ("leak:3,4,1e-1", (3, 4)), ("leak:3,4,1", (3, 4)),
+        ("leak:3,1,0", (3, 1)), ("leak:4,1", (4, 1)),
     ])
     def test_the_plain_spellings_still_parse(self, spelling, shape):
         assert parse_channel(spelling).shape == shape

@@ -790,9 +790,9 @@ TRIAL_CHANNELS = ("pauli:I", "pauli:X", "pauli:Y", "pauli:Z", "random:1", "rando
 def build_channel(channel, seed):
     """The channel of a parsed ``--channel`` value for one trial seed, built
     by the noise module directly: the per-trial reference for its stacks."""
-    if channel.kind == "pauli":
+    if channel.pauli_kind is not None:
         return pauli_error(channel.pauli_kind)
-    if channel.kind == "random":
+    if channel.leak_dim == 2:
         return random_decoherence(seed, channel.env_dim)
     return leakage_decoherence(seed, channel.leak_dim, channel.env_dim, channel.leak_weight)
 
