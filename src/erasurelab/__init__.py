@@ -3,9 +3,10 @@ three message qubits against an arbitrary error on one known site, plus a
 2n-qubit generalization whose single-qubit marginals reveal nothing about
 the encoded state.
 
-Everything is dense linear algebra on small registers: states stay pure by
-tracking error environments explicitly, so exact-recovery and data-hiding
-claims can be certified to tight numerical tolerances.
+States stay pure by tracking error environments explicitly, so
+exact-recovery and data-hiding claims can be certified to tight numerical
+tolerances.  Circuits run on a state's nonzero entries wherever their gates
+allow, and sparse codes are certified from their stored entries.
 """
 
 from .codes import (
@@ -62,48 +63,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckResult",
-    "Circuit",
-    "CircuitOp",
-    "CodeSpec",
-    "DecoherenceIsometry",
-    "DensityMatrix",
-    "ErasureEvent",
-    "ErrorOperatorSet",
-    "Gate",
-    "MessageState",
-    "PureState",
-    "RecoveryPlan",
-    "RecoverySynthesisError",
-    "SiteDims",
-    "TrialResult",
-    "VerificationReport",
-    "apply_circuit",
-    "apply_erasure",
-    "apply_local_operator",
-    "certify",
-    "check_erasure_kl",
-    "check_hiding",
-    "check_kl_general",
-    "custom_gate",
-    "decoder_for",
-    "fidelity_with_pure",
-    "hiding_code",
-    "hiding_encoder",
-    "hiding_recovery",
-    "invert_circuit",
-    "leakage_decoherence",
-    "partial_trace",
-    "pauli_error",
-    "random_decoherence",
-    "recovery_for",
-    "run_recovery_trial",
-    "run_recovery_trials",
-    "sector_overlaps",
-    "six_qubit_logical_basis",
-    "standard_gate",
-    "synthesize_recovery",
-    "w_code",
-]

@@ -17,14 +17,9 @@ Three families of checks live here:
   ``SYNTHESIS_DIM_CAP`` rest amplitudes,
 * seeded checks: marginals of random messages through the encoder, from
   the encoded nonzeros (``site_deviations``), and encode / damage / repair
-  trials measured by fidelity and purity, one trial at a time through the
-  encoder (``run_recovery_trial``) or stacked
-  (``run_recovery_trials``, which runs the plan on the logical basis's
-  nonzero entries, W = plan∘basis, refusing a W of more than
-  ``RECOVERY_MAP_CAP`` entries before building it, scatters W with its
-  columns as (output register, other intact sites, damaged site), and
-  scores each chunk of trials with three batched products: messages @ W,
-  then the channels' columns, then x x^H).
+  trials scored by fidelity and purity, one at a time through the encoder
+  (``run_recovery_trial``) or stacked on the held columns of W = plan∘basis
+  (``run_recovery_trials``).
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ DEFAULT_TRIALS = 25
 DEFAULT_SEED = 42
 RANK_CUTOFF = 1e-12
 SYNTHESIS_DIM_CAP = 1024
-RECOVERY_MAP_CAP = 2**21  # entries of W = plan∘encode: hiding:7's (128, 2^14), 32 MiB
 TRIALS_CAP = 100_000  # recover --trials: the report keeps one row per trial
 TRIAL_CHUNK_AMPS = DEFAULT_DIMENSION_CAP // 16  # amplitudes or block entries per stacked chunk
 PAULIS = np.stack([PAULI_BY_KIND[k] for k in "IXYZ"])
@@ -459,21 +453,20 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
 
     The plan never touches its bad position and a channel touches only that
     site and a new environment, so the two commute: plan∘encode is one fixed
-    (L, D) map W, the plan run once, by ``circuit_entries``, on the nonzeros
-    of ``code.rows`` keyed (row << n) | column (only the reference,
-    ``run_recovery_trial``, runs the encoder).  W is scattered once with its
-    columns in (output register, other intact sites, damaged site) order, so
-    T trials take three batched products: psi = messages @ W,
-    shaped (T, 2^k R, 2); the damaged states x = psi @ V^T, shaped (T, 2^k,
-    R out env); and the output register's states rho = x x^H.  A chunk holds
-    at most ``TRIAL_CHUNK_AMPS`` damaged amplitudes, and at most as many
-    entries of the matrices the channels are built from (one trial, if a
-    single trial is larger); every trial gets the checks that
-    ``MessageState``, ``PureState`` and ``DensityMatrix`` make.  Raises
-    ValueError for anything but a ``RecoveryPlan`` (which may not commute
-    with the channel), for a bad position outside the code or an output
-    register that does not hold the message, before building it for a W of
-    more than ``RECOVERY_MAP_CAP`` entries, or when a check fails.
+    map W, the plan run once on the nonzeros of ``code.rows`` (only the
+    reference, ``run_recovery_trial``, runs the encoder) and kept on its held
+    columns (``_recovery_map``).  T trials take two batched products: psi =
+    messages @ W, shaped (T, 2^k held, 2), and the damaged branches x = psi @
+    V^T, shaped (T, 2^k, held out env).  The output register's state rho = x
+    x^H has the nonzero spectrum of x^H x (Schmidt), so each trial is checked
+    and scored on the smaller of the two.  A chunk holds at most
+    ``TRIAL_CHUNK_AMPS`` damaged amplitudes, and at most as many entries of
+    the matrices the channels are built from (one trial, if a single trial is
+    larger); every trial gets the checks that ``MessageState``, ``PureState``
+    and ``DensityMatrix`` make.  Raises ValueError for anything but a
+    ``RecoveryPlan`` (which may not commute with the channel), for a bad
+    position outside the code or an output register that does not hold the
+    message, or when a check fails.
     """
     if not isinstance(plan, RecoveryPlan):
         raise ValueError(f"{plan!r} is not a RecoveryPlan, so it may not commute with the "
@@ -483,22 +476,10 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
         raise ValueError(f"position {position} out of range for {n} sites")
     if len(plan.output_register) != k:
         raise ValueError(f"output register {plan.output_register} does not hold {k} message qubits")
-    size = len(code.message_labels) * 2**n
-    if size > RECOVERY_MAP_CAP:
-        raise ValueError(f"recovery map of {len(code.message_labels)} x 2^{n} amplitudes "
-                         f"({size}) exceeds the cap {RECOVERY_MAP_CAP}")
-    i, j = code.rows.nonzero()
-    keys, values = circuit_entries(i << n | code.support[j], code.rows[i, j], code.dims,
-                                   plan.circuit)
-    rest = [s for s in range(n) if s != position and s not in plan.output_register]
-    column = 0  # each key's column with its site bits in W's order, the first most significant
-    for site in (*plan.output_register, *rest, position):
-        column = column << 1 | keys >> n - 1 - site & 1
-    w = np.zeros((len(code.message_labels), 2**n), dtype=np.complex128)
-    w[keys >> n, column] = values
+    _, w = _recovery_map(code, plan)
     rows = int(np.prod(channel.shape))
     # a channel's columns come from square matrices of at most rows^2 entries
-    per_chunk = max(1, TRIAL_CHUNK_AMPS // max(2 ** (n - 1) * rows, rows * rows))
+    per_chunk = max(1, TRIAL_CHUNK_AMPS // max(w.shape[1] // 2 * rows, rows * rows))
     trials = iter(trials)
     results: list[TrialResult] = []
     while chunk := list(itertools.islice(trials, per_chunk)):
@@ -514,10 +495,31 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
     return results
 
 
+def _recovery_map(code: CodeSpec, plan: RecoveryPlan):
+    """W = plan∘basis, by ``circuit_entries``, on its held columns: the held
+    indices r of the other intact sites (ascending) at which some column (o,
+    r, a) of W holds an entry, and W as (L, 2^k held 2), its columns in
+    (output register o, held r, damaged bit a) order; the rest are 0."""
+    n, k, position = code.n_physical, code.k_logical, plan.bad_position
+    i, j = code.rows.nonzero()
+    keys, values = circuit_entries(i << n | code.support[j], code.rows[i, j], code.dims,
+                                   plan.circuit)
+    rest = [s for s in range(n) if s != position and s not in plan.output_register]
+    column = np.zeros_like(keys)  # each key's bits at (output register, rest), the first highest
+    for site in (*plan.output_register, *rest):
+        column = column << 1 | keys >> n - 1 - site & 1
+    r = column & (1 << len(rest)) - 1
+    held = np.flatnonzero(np.bincount(r))  # not np.unique: its first call imports numpy.ma
+    column = ((column >> len(rest)) * len(held) + np.searchsorted(held, r)) * 2
+    w = np.zeros((len(code.message_labels), 2**k * len(held) * 2), dtype=np.complex128)
+    w[keys >> n, column | keys >> n - 1 - position & 1] = values
+    return held, w
+
+
 def _trial_chunk(code, w, msgs, v, first) -> list[TrialResult]:
-    """Score T trials: ``w`` is W in (output register, other intact sites,
-    damaged site) column order, ``msgs`` the (T, 2^k) message amplitudes and
-    ``v`` the channels' (T, out * env, 2) columns."""
+    """Score T trials: ``w`` is W on its held columns (``_recovery_map``),
+    ``msgs`` the (T, 2^k) message amplitudes and ``v`` the channels' (T, out
+    * env, 2) columns."""
     t = len(msgs)
     psi = (msgs[:, list(code.message_labels)] @ w).reshape(t, -1, 2)
     # the channel at the damaged site, the environment after its output (apply_erasure)
@@ -526,9 +528,11 @@ def _trial_chunk(code, w, msgs, v, first) -> list[TrialResult]:
     norm = np.sqrt(np.einsum("ti,ti->t", parts, parts))
     _require(np.abs(norm - 1.0) <= NORM_TOL, first, lambda i: f"damaged state norm "
              f"{float(norm[i])!r} differs from 1 by more than {NORM_TOL}")
-    rho = x @ x.conj().transpose(0, 2, 1)  # the output register's state, the rest traced out
-    check_density_stack(rho, "trial", first)
-    overlap = np.einsum("ti,ti->t", msgs.conj(), (rho @ msgs[:, :, None])[:, :, 0]).real
-    fidelity = np.minimum(1.0, np.maximum(0.0, overlap))
-    purity = np.einsum("tij,tji->t", rho, rho).real
+    xh = x.conj().transpose(0, 2, 1)
+    gram = x @ xh if x.shape[1] <= x.shape[2] else xh @ x  # rho = x x^H, or its Schmidt twin
+    check_density_stack(gram, "trial", first)
+    parts = (msgs[:, None].conj() @ x).reshape(t, -1).view(np.float64)  # |m^H x|^2 = <m|rho|m>
+    fidelity = np.minimum(1.0, np.maximum(0.0, np.einsum("ti,ti->t", parts, parts)))
+    parts = gram.reshape(t, -1).view(np.float64)
+    purity = np.einsum("ti,ti->t", parts, parts)  # tr rho^2 = sum |G_ab|^2
     return [TrialResult(f, p) for f, p in zip(fidelity.tolist(), purity.tolist())]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from erasurelab import gates, verify
-from erasurelab.cli import parse_channel
 from erasurelab.codes import (decoder_for, hiding_code, hiding_encoder, hiding_recovery,
                               recovery_for, six_qubit_logical_basis, w_code)
 from erasurelab.gates import (HADAMARD, Circuit, CircuitOp, Gate, circuit_entries,
@@ -15,7 +14,7 @@ from erasurelab.states import MessageState, PureState, partial_trace
 from erasurelab.verify import CheckResult, entry_marginals
 
 from conftest import random_state
-from test_verify import marginal_deviations
+from test_verify import marginal_deviations, stacked_w
 
 SWAP = np.eye(4)[[0, 2, 1, 3]]
 
@@ -96,23 +95,6 @@ class TestBuiltinCircuits:
             assert np.max(np.abs(val - code.rows[m][code.rows[m] != 0])) <= 1e-15
 
 
-def captured_w(code, plan):
-    """The W that run_recovery_trials hands its trial chunks."""
-    seen = []
-    chunk = verify._trial_chunk
-
-    def capture(code, w, *args):
-        seen.append(w)
-        return chunk(code, w, *args)
-
-    message = np.zeros(2**code.k_logical, dtype=np.complex128)
-    message[code.message_labels[0]] = 1.0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_trial_chunk", capture)
-        verify.run_recovery_trials(code, plan, parse_channel("pauli:I"), [(message, 1)])
-    return seen[0]
-
-
 def dense_w(code, plan, rows):
     """W = plan∘basis on ``rows``, densely, its columns in (output register,
     other intact sites, damaged site) order."""
@@ -140,7 +122,7 @@ class TestRecoveryMap:
     @pytest.mark.parametrize("name, code, plan, sparse", PLANS,
                              ids=[f"{p[0]}-pos{p[2].bad_position}" for p in PLANS])
     def test_w_is_the_dense_plan_on_the_basis(self, dense_calls, name, code, plan, sparse):
-        w = captured_w(code, plan)
+        w = stacked_w(code, plan)
         assert len(dense_calls) == (0 if sparse else 1)  # w5's decoder is one CUSTOM gate
         rows = spot_rows(code)
         assert np.max(np.abs(w[rows] - dense_w(code, plan, rows))) <= 1e-15
@@ -152,7 +134,7 @@ class TestRecoveryMap:
         code = hiding_code(n)
         for pos in range(2 * n):
             plan = verify.synthesize_recovery(code, pos)
-            w = captured_w(code, plan)
+            w = stacked_w(code, plan)
             assert np.max(np.abs(w - dense_w(code, plan, spot_rows(code)))) <= 1e-15
         assert len(dense_calls) == 2 * n
 

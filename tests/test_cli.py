@@ -503,19 +503,64 @@ class TestRecoverCommand:
             ["recover", "--pos", "0", "--trials", str(verify.TRIALS_CAP)])
         assert cli._config_from_args(args).trials == verify.TRIALS_CAP
 
-    def test_a_recovery_map_above_the_cap_is_refused_before_it_is_built(self, capsys):
-        # hiding:8's W would be 256 x 2^16 amplitudes, 256 MiB, and the
-        # encoder pass several times that
+    @pytest.mark.parametrize("channel", ["pauli:Y", "random:4", "leak:3,4"])
+    def test_hiding_8_recovers_at_every_site(self, capsys, channel):
+        # W on its held columns is 256 x 2^8 x 2 x 2 amplitudes, 4 MiB; scattered
+        # dense it would be 256 x 2^16, 256 MiB
+        for pos in range(16):
+            tracemalloc.start()
+            try:
+                code, out, _ = run(capsys, "recover", "--code", "hiding:8", "--pos", str(pos),
+                                   "--channel", channel)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            report = json.loads(out)
+            assert code == 0 and len(report["trials"]) == 25
+            assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+                ("min_fidelity", True), ("min_purity", True)]
+            assert peak < 32 * 2**20
+
+    def test_a_damaged_register_above_the_cap_is_refused_before_it_is_built(self, capsys):
+        # 2^15 x 2 x 64 damaged amplitudes per trial; refused before the code's rows exist
         tracemalloc.start()
         try:
-            code, out, err = run(capsys, "recover", "--code", "hiding:8", "--pos", "0")
+            code, out, err = run(capsys, "recover", "--code", "hiding:8", "--pos", "0",
+                                 "--channel", "random:64")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 2 and out == ""
-        assert err == ("error: recovery map of 256 x 2^16 amplitudes (16777216) exceeds "
-                       f"the cap {verify.RECOVERY_MAP_CAP}\n")
+        assert err == "error: damaged register dimension 4194304 exceeds the cap 1048576\n"
         assert peak < 2**20
+
+    @pytest.mark.parametrize("code_name, pos, channel", [
+        ("six", 2, "random:4"), ("w5", 1, "leak:3,4"), ("hiding:7", 3, "random:4"),
+        ("hiding:8", 0, "pauli:Y"), ("hiding:8", 9, "random:8"),
+    ])
+    def test_eigvalsh_never_sees_a_matrix_wider_than_the_smaller_side(
+            self, capsys, monkeypatch, code_name, pos, channel):
+        # rho = x x^H is 2^k wide and x^H x is held * out * env wide; only the smaller is built
+        real, shapes, maps = np.linalg.eigvalsh, [], []
+        recovery_map = verify._recovery_map
+
+        def record(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        def capture(code, plan):
+            maps.append((code, *recovery_map(code, plan)))
+            return maps[-1][1:]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        monkeypatch.setattr(verify, "_recovery_map", capture)
+        code, _, _ = run(capsys, "recover", "--code", code_name, "--pos", str(pos),
+                         "--channel", channel)
+        assert code == 0 and shapes
+        (built, held, _), = maps
+        out, env = parse_channel(channel).shape
+        width = min(2**built.k_logical, len(held) * out * env)
+        assert max(shape[-1] for shape in shapes) == width
 
     def test_uncorrectable_code_fails_cleanly(self, capsys):
         # the Bell pair cannot correct an erasure; synthesis must refuse and
