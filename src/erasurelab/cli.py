@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import noise, verify
 from .gates import circuit_entries, invert_circuit
-from .states import DEFAULT_DIMENSION_CAP, NORM_TOL, MessageState, SiteDims, gram_scores
+from .states import NORM_TOL, MessageState, SiteDims, gram_scores
 from .verify import (DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS, CheckResult,
                      TrialResult)
 
@@ -39,44 +38,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ChannelSpec:
-    """A parsed --channel value: a Pauli (``pauli_kind``), or else the seeded channel
-    ``noise.decoherence_columns`` builds from ``env_dim``, ``leak_dim`` (2 for random:)
-    and ``leak_weight``.  ``columns(seeds)`` builds its channels for trial seeds."""
-
-    pauli_kind: str | None = None
-    env_dim: int = 1
-    leak_dim: int = 2
-    leak_weight: float | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(output site dimension, environment dimension) of every channel."""
-        return self.leak_dim, self.env_dim
-
-    def check_size(self, n_sites: int) -> None:
-        """Refuse, before anything is allocated, a channel whose damaged
-        n-qubit register or whose Haar matrices (side squared) would exceed
-        the dimension cap."""
-        sizes = {
-            "damaged register dimension": 2 ** (n_sites - 1) * self.leak_dim * self.env_dim,
-            "channel Haar matrix size": (2 * self.env_dim) ** 2,
-            "leak block Haar matrix size": ((self.leak_dim - 2) * self.env_dim) ** 2,
-        }
-        for what, size in sizes.items():
-            if size > DEFAULT_DIMENSION_CAP:
-                raise ConfigError(f"{what} {size} exceeds the cap {DEFAULT_DIMENSION_CAP}")
-
-    def columns(self, seeds) -> np.ndarray:
-        """The columns of each seed's ``noise`` channel as one (T, out * env, 2)
-        stack: a Pauli is built once and broadcast, and each Haar block of
-        the seeded channels is one batched QR of the two columns kept."""
-        if self.pauli_kind is not None:
-            return np.broadcast_to(noise.pauli_error(self.pauli_kind).columns, (len(seeds), 2, 2))
-        return noise.decoherence_columns(seeds, self.env_dim, self.leak_dim, self.leak_weight)
-
-
 def _count(text: str) -> int:
     """A count in its one spelling: plain ASCII digits, with no sign, space,
     underscore or leading zero (not 03, +3, 3_0 or other scripts' digits)."""
@@ -85,39 +46,33 @@ def _count(text: str) -> int:
     return n
 
 
-def parse_channel(text: str) -> ChannelSpec:
+def parse_channel(text: str) -> noise.ChannelSpec:
     """The --channel value, each count spelled as ``_count`` allows and the leak weight in
-    ASCII digits, '.', exponent and signs only.  Every rule on the spec is checked here,
-    before a code is built: a leak of weight other than 0 needs room for two images."""
+    ASCII digits, '.', exponent and signs only.  ``noise.ChannelSpec`` checks every other
+    rule on the channel when it is made, before a code is built."""
     kind, _, rest = text.partition(":")
-    if kind == "pauli":
-        if rest not in ("I", "X", "Y", "Z"):
-            raise ConfigError(f"unknown Pauli kind {rest!r}")
-        return ChannelSpec(pauli_kind=rest)
-    if kind not in ("random", "leak"):
+    if kind not in ("pauli", "random", "leak"):
         raise ConfigError(f"unknown channel kind {kind!r}; expected pauli:, random:, or leak:")
-    parts = rest.split(",")
+    fields = {"pauli_kind": rest}
+    if kind != "pauli":
+        parts = rest.split(",")
+        try:
+            if len(parts) not in ((1,) if kind == "random" else (2, 3)):
+                raise ValueError("expected random:env_dim or leak:leak_dim,env_dim[,weight]")
+            counts = [_count(part) for part in parts[:2]]
+            if len(parts) == 3 and parts[2].strip("0123456789.eE+-"):
+                raise ValueError(f"{parts[2]!r} is not a weight in plain decimal digits")
+            weight = float(parts[2]) if len(parts) == 3 else None
+        except ValueError as exc:
+            raise ConfigError(f"malformed channel spec {text!r}: {exc}") from exc
+        if kind == "leak" and counts[0] < 3:
+            raise ConfigError("leak dimension must be at least 3")
+        fields = ({"env_dim": counts[0]} if kind == "random"
+                  else {"leak_dim": counts[0], "env_dim": counts[1], "leak_weight": weight})
     try:
-        if len(parts) not in ((1,) if kind == "random" else (2, 3)):
-            raise ValueError("expected random:env_dim or leak:leak_dim,env_dim[,weight]")
-        counts = [_count(part) for part in parts[:2]]
-        if len(parts) == 3 and parts[2].strip("0123456789.eE+-"):
-            raise ValueError(f"{parts[2]!r} is not a weight in plain decimal digits")
-        weight = float(parts[2]) if len(parts) == 3 else None
+        return noise.ChannelSpec(**fields)
     except ValueError as exc:
-        raise ConfigError(f"malformed channel spec {text!r}: {exc}") from exc
-    leak_dim, env_dim = counts if kind == "leak" else (2, counts[0])
-    if kind == "leak" and leak_dim < 3:
-        raise ConfigError("leak dimension must be at least 3")
-    if env_dim < 1:
-        raise ConfigError("environment dimension must be at least 1")
-    if weight is not None and not 0.0 <= weight <= 1.0:
-        raise ConfigError("leak weight must lie in [0, 1]")
-    leak_levels = (leak_dim - 2) * env_dim
-    if kind == "leak" and leak_levels < 2 and weight != 0.0:
-        raise ConfigError("leaked subspace too small for two orthonormal images; "
-                          f"need (leak_dim - 2) * env_dim >= 2, got {leak_levels}")
-    return ChannelSpec(leak_dim=leak_dim, env_dim=env_dim, leak_weight=weight)
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_hiding(text: str, lo: int) -> int:
@@ -147,15 +102,6 @@ def build_code(config: argparse.Namespace) -> codes_mod.CodeSpec:
     raise ConfigError(f"unknown code selector {text!r}; expected six, w5, or hiding:n")
 
 
-def code_to_json_dict(code: codes_mod.CodeSpec) -> dict:
-    """External code format: per-state amplitude lists as [re, im] pairs."""
-    return {
-        "n_sites": code.n_physical,
-        "dims": [2] * code.n_physical,
-        "logical_basis": [[[float(a.real), float(a.imag)] for a in row] for row in code.basis],
-    }
-
-
 def code_from_json_dict(data: dict, label: str = "external") -> codes_mod.CodeSpec:
     try:
         n_sites, dims, raw_basis = data["n_sites"], data["dims"], data["logical_basis"]
@@ -178,6 +124,9 @@ def code_from_json_dict(data: dict, label: str = "external") -> codes_mod.CodeSp
             f"logical basis has shape {pairs.shape}; expected one row of "
             f"{register.total} [re, im] pairs per logical state"
         )
+    # JSON numbers only: float64 would take "0.5" and true
+    if any(type(v) not in (int, float) for row in raw_basis for pair in row for v in pair):
+        raise ConfigError("malformed code file: amplitudes must be JSON numbers")
     if len(pairs) < 2:
         raise ConfigError("code file must define at least two logical states")
     try:
@@ -287,8 +236,8 @@ def cmd_recover(config: argparse.Namespace) -> tuple[int, dict]:
     code = build_code(config)
     if not 0 <= config.pos < code.n_physical:
         raise ConfigError(f"position {config.pos} out of range for {code.n_physical} sites")
-    config.channel.check_size(code.n_physical)
     try:
+        config.channel.check_size(code.n_physical)
         plan = recovery_plan(config, code)
     except verify.RecoverySynthesisError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,6 +104,8 @@ class ErrorOperatorSet:
             raise ValueError("operator set must be nonempty")
         if any(a.shape != (2, 2) for a in operators):
             raise ValueError("logical bases live on qubit sites; operators must be 2x2")
+        if not all(np.isfinite(a).all() for a in operators):
+            raise ValueError("error operators must have finite entries")
         if not any(np.max(np.abs(a - np.eye(2))) <= 1e-12 for a in operators):
             raise ValueError("operator set must include the identity")
         stacked = np.stack([a.reshape(-1) for a in operators], axis=1)
@@ -447,7 +449,7 @@ def run_recovery_trials(code: CodeSpec, plan: RecoveryPlan, channel, trials) -> 
 
     ``trials`` yields (message amplitudes, channel seed) pairs and is taken
     lazily.  ``channel`` is a seeded channel family such as
-    ``cli.ChannelSpec``: ``channel.shape`` is its (output site dimension,
+    ``noise.ChannelSpec``: ``channel.shape`` is its (output site dimension,
     environment dimension), and ``channel.columns(seeds)`` the (T, out * env,
     2) stack V of the seeds' isometry columns, built and checked once per chunk.
 

@@ -20,6 +20,16 @@ def random_state(dims, rng: np.random.Generator) -> PureState:
     return PureState(dims, z / np.linalg.norm(z))
 
 
+def code_to_json_dict(code) -> dict:
+    """``code`` in the code-file format: the number of sites, their
+    dimensions, and each logical state's amplitudes as [re, im] pairs."""
+    return {
+        "n_sites": code.n_physical,
+        "dims": [2] * code.n_physical,
+        "logical_basis": [[[float(a.real), float(a.imag)] for a in row] for row in code.basis],
+    }
+
+
 def record_criterion(number: int, label: str, ok: bool) -> bool:
     line = f"[acceptance] criterion {number} ({label}): {'PASS' if ok else 'FAIL'}"
     ACCEPTANCE_LINES.append(line)

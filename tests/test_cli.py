@@ -16,7 +16,6 @@ from erasurelab import codes as codes_mod
 from erasurelab.cli import (
     ConfigError,
     code_from_json_dict,
-    code_to_json_dict,
     main,
     parse_channel,
     render_json,
@@ -24,6 +23,7 @@ from erasurelab.cli import (
 from erasurelab.codes import CodeSpec, six_qubit_logical_basis, w_code
 from erasurelab.gates import apply_circuit, invert_circuit
 from erasurelab.states import MessageState
+from conftest import code_to_json_dict
 from test_verify import (build_channel, dense_overlaps, dense_route, leaky_hiding_code,
                          marginal_deviations, reported_norm)
 
@@ -181,6 +181,27 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spelling", ["string", "bool"])
+    def test_amplitudes_that_are_not_json_numbers_are_a_bad_configuration(
+            self, capsys, tmp_path, spelling):
+        # read through float64, the six-qubit file with its real parts as strings
+        # ("0.4999999999999999") passed verify, and a two-state file in booleans exited 1
+        if spelling == "string":
+            doc = code_to_json_dict(six_qubit_logical_basis())
+            for row in doc["logical_basis"]:
+                for pair in row:
+                    pair[0] = repr(pair[0])
+        else:
+            doc = {"n_sites": 1, "dims": [2],
+                   "logical_basis": [[[True, False], [False, False]],
+                                     [[False, False], [True, False]]]}
+        path = tmp_path / "spelled.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--code-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: malformed code file: amplitudes must be JSON numbers\n"
 
     def test_sampling_cannot_hide_a_small_leak(self, capsys, tmp_path):
         path = tmp_path / "leaky.json"
@@ -359,7 +380,7 @@ class TestRecoverCommand:
         # draws are normalized to and the stacks the engine is handed are
         # logged too
         drawn, seeds = [], []
-        normalize, stack = CodeSpec.message_amplitudes, cli.ChannelSpec.columns
+        normalize, stack = CodeSpec.message_amplitudes, noise.ChannelSpec.columns
         chunk = verify._trial_chunk
 
         def logged_messages(self, z):
@@ -378,7 +399,7 @@ class TestRecoverCommand:
             return chunk(code, w, msgs, v, first)
 
         monkeypatch.setattr(CodeSpec, "message_amplitudes", logged_messages)
-        monkeypatch.setattr(cli.ChannelSpec, "columns", logged_columns)
+        monkeypatch.setattr(noise.ChannelSpec, "columns", logged_columns)
         monkeypatch.setattr(verify, "_trial_chunk", logged_chunk)
         monkeypatch.setattr(verify, "TRIAL_CHUNK_AMPS", 64)  # several chunks of each kind
         code, report, _ = run_json(capsys, "recover", "--code", code_name, "--pos", str(pos),
@@ -421,12 +442,12 @@ class TestRecoverCommand:
     @pytest.mark.parametrize("factor", [1.01, np.nan])
     def test_a_channel_changed_after_construction_never_passes(self, capsys, monkeypatch,
                                                                 factor):
-        stack = cli.ChannelSpec.columns
+        stack = noise.ChannelSpec.columns
 
         def tampered(self, seeds):
             return stack(self, seeds) * factor
 
-        monkeypatch.setattr(cli.ChannelSpec, "columns", tampered)
+        monkeypatch.setattr(noise.ChannelSpec, "columns", tampered)
         code, out, err = run(capsys, "recover", "--pos", "3", "--trials", "3")
         assert code != 0
         assert out == ""
@@ -436,7 +457,7 @@ class TestRecoverCommand:
 
     @pytest.mark.parametrize("where", ["message", "channel"])
     def test_nan_in_a_message_or_a_channel_column_exits_2(self, capsys, monkeypatch, where):
-        normalize, stack = CodeSpec.message_amplitudes, cli.ChannelSpec.columns
+        normalize, stack = CodeSpec.message_amplitudes, noise.ChannelSpec.columns
 
         def nan_message(self, z):
             amps = normalize(self, z).copy()
@@ -451,7 +472,7 @@ class TestRecoverCommand:
         if where == "message":
             monkeypatch.setattr(CodeSpec, "message_amplitudes", nan_message)
         else:
-            monkeypatch.setattr(cli.ChannelSpec, "columns", nan_column)
+            monkeypatch.setattr(noise.ChannelSpec, "columns", nan_column)
         code, out, err = run(capsys, "recover", "--pos", "3", "--trials", "3")
         assert code == 2 and out == ""
         what = "message" if where == "message" else "damaged state"
@@ -949,6 +970,24 @@ class TestChannelParsing:
     ])
     def test_the_plain_spellings_still_parse(self, spelling, shape):
         assert parse_channel(spelling).shape == shape
+
+    @pytest.mark.parametrize("text, env_dim, leak_dim, weight", [
+        ("random:0", 0, 2, 0.0), ("leak:3,0", 0, 3, None), ("leak:4,0,0.5", 0, 4, 0.5),
+        ("leak:3,4,1.5", 4, 3, 1.5), ("leak:3,4,-0.5", 4, 3, -0.5), ("leak:4,2,2.0", 2, 4, 2.0),
+        ("leak:3,1", 1, 3, None), ("leak:3,1,0.5", 1, 3, 0.5), ("leak:3,1,1", 1, 3, 1.0),
+    ])
+    def test_each_channel_rule_reads_the_same_everywhere(self, text, env_dim, leak_dim, weight):
+        # one rule, one text: from the CLI, from the spec and from the per-seed builder
+        with pytest.raises(ConfigError) as parsed:
+            parse_channel(text)
+        with pytest.raises(ValueError) as made:
+            noise.ChannelSpec(env_dim=env_dim, leak_dim=leak_dim, leak_weight=weight)
+        with pytest.raises(ValueError) as built:
+            if leak_dim == 2:
+                noise.random_decoherence(5, env_dim)
+            else:
+                noise.leakage_decoherence(5, leak_dim, env_dim, weight)
+        assert str(parsed.value) == str(made.value) == str(built.value)
 
 
 class TestCodeFileFormat:

@@ -3,9 +3,10 @@
 Whatever the document or spec, ``main`` returns 0, 1 or 2 without raising
 and prints no traceback.  A code file carrying a non-finite amplitude never
 passes, and one whose ``n_sites`` or ``dims`` holds anything but JSON
-integers exits 2.  Channel dimensions stay at most 512, and every Haar
-matrix is checked against the dimension cap before it is drawn, so a
-missing cap fails the test instead of allocating.
+integers, or whose amplitudes hold anything but JSON numbers, exits 2.
+Channel dimensions stay at most 512, and every Haar matrix is checked
+against the dimension cap before it is drawn, so a missing cap fails the
+test instead of allocating.
 """
 
 import contextlib
@@ -21,9 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erasurelab import noise, verify
-from erasurelab.cli import ConfigError, code_from_json_dict, code_to_json_dict, main
+from erasurelab.cli import ConfigError, code_from_json_dict, main
 from erasurelab.codes import hiding_code, six_qubit_logical_basis, w_code
 from erasurelab.states import DEFAULT_DIMENSION_CAP
+from conftest import code_to_json_dict
 from test_verify import dense_overlaps, dense_route
 
 BASE_DOCS = [json.dumps(code_to_json_dict(code)) for code in (hiding_code(1), w_code())]
@@ -31,7 +33,8 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 # sizes that int() would have truncated or accepted
 NON_INTEGERS = st.one_of(st.floats(-2, 24), st.booleans(), st.sampled_from([2.0, 2.5, "2", None]))
 # applied in this order, so that value edits still find the pair they address
-MUTATIONS = ("non_finite", "non_orthonormal", "pair_length", "nesting", "n_sites")
+MUTATIONS = ("non_finite", "non_orthonormal", "not_a_number", "pair_length", "nesting",
+             "n_sites")
 
 
 def run_main(argv) -> tuple[int, str]:
@@ -49,14 +52,14 @@ def assert_clean_exit(code, err: str) -> None:
 @st.composite
 def code_documents(draw):
     """(document, whether it holds a non-finite amplitude, whether a size is
-    not a JSON integer)."""
+    not a JSON integer or an amplitude not a JSON number)."""
     doc = json.loads(draw(st.sampled_from(BASE_DOCS)))
     basis = doc["logical_basis"]
     i = draw(st.integers(0, len(basis) - 1))
     j = draw(st.integers(0, len(basis) - 1))
     a = draw(st.integers(0, len(basis[0]) - 1))
     chosen = draw(st.sets(st.sampled_from(MUTATIONS), min_size=1))
-    non_finite = non_integer = False
+    non_finite = wrong_type = False
     for mutation in (m for m in MUTATIONS if m in chosen):
         if mutation == "non_finite":
             basis[i][a][draw(st.integers(0, 1))] = draw(st.sampled_from(NON_FINITE))
@@ -72,6 +75,12 @@ def code_documents(draw):
                 else:
                     basis[i] = [[re + factor * re2, im + factor * im2]
                                 for (re, im), (re2, im2) in zip(basis[i], basis[j])]
+        elif mutation == "not_a_number":
+            pair, part = basis[i][a], draw(st.integers(0, 1))
+            # float64 takes each of these; the loader must not
+            pair[part] = draw(st.one_of(st.just(repr(pair[part])), st.booleans(),
+                                        st.floats().map(repr)))
+            wrong_type = True
         elif mutation == "pair_length":
             basis[i][a] = basis[i][a][:1] if draw(st.booleans()) else basis[i][a] + [0.0]
         elif mutation == "nesting":
@@ -97,14 +106,14 @@ def code_documents(draw):
             if draw(st.booleans()):
                 doc["dims"] = draw(st.lists(st.one_of(st.integers(-1, 4), NON_INTEGERS),
                                             max_size=24))
-            non_integer = any(type(v) is not int for v in [doc["n_sites"], *doc["dims"]])
-    return doc, non_finite, non_integer
+            wrong_type |= any(type(v) is not int for v in [doc["n_sites"], *doc["dims"]])
+    return doc, non_finite, wrong_type
 
 
 @settings(max_examples=150, deadline=None)
 @given(code_documents())
 def test_code_file_fuzz(case):
-    doc, non_finite, non_integer = case
+    doc, non_finite, wrong_type = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "code.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -113,7 +122,7 @@ def test_code_file_fuzz(case):
     assert_clean_exit(code, err)
     if non_finite:
         assert code != 0
-    if non_integer:
+    if wrong_type:
         assert code == 2
 
 

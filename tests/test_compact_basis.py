@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from erasurelab import cli, verify
-from erasurelab.cli import code_to_json_dict, main
+from erasurelab.cli import main
 from erasurelab.codes import CodeSpec, hiding_code, six_qubit_logical_basis, w_code
+from conftest import code_to_json_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402

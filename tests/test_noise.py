@@ -4,10 +4,10 @@ import pytest
 from erasurelab.codes import six_qubit_logical_basis
 from erasurelab.gates import PAULI_BY_KIND
 from erasurelab.noise import (
+    ChannelSpec,
     DecoherenceIsometry,
     ErasureEvent,
     apply_erasure,
-    decoherence_columns,
     leakage_decoherence,
     pauli_error,
     random_decoherence,
@@ -169,7 +169,7 @@ SEEDS = [3, 2**62 + 5, 0, 17, 3]
 class TestStackedColumns:
     @pytest.mark.parametrize("env_dim", [1, 2, 4])
     def test_random_rows_are_the_per_seed_channels(self, env_dim):
-        stack = decoherence_columns(SEEDS, env_dim)
+        stack = ChannelSpec(env_dim=env_dim).columns(SEEDS)
         want = np.stack([random_decoherence(s, env_dim).columns for s in SEEDS])
         assert np.array_equal(stack, want)
 
@@ -177,20 +177,24 @@ class TestStackedColumns:
         (3, 4, None), (4, 2, None), (4, 2, 0.0), (4, 2, 1.0), (3, 2, 0.3), (3, 1, 0.0),
     ])
     def test_leak_rows_are_the_per_seed_channels(self, leak_dim, env_dim, weight):
-        stack = decoherence_columns(SEEDS, env_dim, leak_dim, weight)
+        stack = ChannelSpec(env_dim=env_dim, leak_dim=leak_dim, leak_weight=weight).columns(SEEDS)
         want = np.stack([leakage_decoherence(s, leak_dim, env_dim, weight).columns
                          for s in SEEDS])
         assert np.array_equal(stack, want)
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="unknown Pauli kind 'W'"):
+            ChannelSpec(pauli_kind="W")
+        with pytest.raises(ValueError, match="no environment"):
+            ChannelSpec(pauli_kind="X", env_dim=4, leak_dim=3, leak_weight=None)
         with pytest.raises(ValueError, match="environment"):
-            decoherence_columns(SEEDS, 0)
+            ChannelSpec(env_dim=0)
         with pytest.raises(ValueError, match="output site"):
-            decoherence_columns(SEEDS, 2, 1)
+            ChannelSpec(env_dim=2, leak_dim=1)
         with pytest.raises(ValueError, match="outside"):
-            decoherence_columns(SEEDS, 2, 3, 1.5)
+            ChannelSpec(env_dim=2, leak_dim=3, leak_weight=1.5)
         with pytest.raises(ValueError, match="leaked subspace"):
-            decoherence_columns(SEEDS, 1, 3, 0.5)
+            ChannelSpec(env_dim=1, leak_dim=3, leak_weight=0.5)
 
     def test_a_non_finite_draw_fails_the_isometry_check(self, monkeypatch):
         from erasurelab import noise
@@ -204,4 +208,4 @@ class TestStackedColumns:
 
         monkeypatch.setattr(noise, "haar_unitary", with_nan)
         with pytest.raises(ValueError, match="not an isometry"):
-            decoherence_columns(SEEDS, 2)
+            ChannelSpec(env_dim=2).columns(SEEDS)

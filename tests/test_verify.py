@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erasurelab import gates, verify
-from erasurelab.cli import code_from_json_dict, code_to_json_dict, parse_channel
+from erasurelab.cli import code_from_json_dict, parse_channel
 from erasurelab.codes import (
     CodeSpec,
     RecoveryPlan,
@@ -39,6 +39,7 @@ from erasurelab.verify import (
     sector_overlaps,
     synthesize_recovery,
 )
+from conftest import code_to_json_dict
 
 
 def unprotected_pair_code():
@@ -244,6 +245,15 @@ class TestErrorOperatorSet:
             ErrorOperatorSet(0, [np.eye(3)])  # logical bases live on qubits
         with pytest.raises(ValueError):
             ErrorOperatorSet(-1, [np.eye(2)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_operator_is_refused_before_lstsq(self, capfd, bad):
+        # least squares on it had LAPACK print "DLASCL parameter number 4" to stderr
+        broken = np.array(PAULI_BY_KIND["X"], dtype=np.complex128)
+        broken[0, 1] = bad
+        with pytest.raises(ValueError, match="^error operators must have finite entries$"):
+            ErrorOperatorSet(0, [np.eye(2), broken, PAULI_BY_KIND["Y"], PAULI_BY_KIND["Z"]])
+        assert capfd.readouterr().err == ""
 
 
 class TestKlChecks:
