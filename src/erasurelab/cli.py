@@ -150,49 +150,37 @@ def load_code_file(path: str) -> codes_mod.CodeSpec:
     return code_from_json_dict(data, label=path)
 
 
-def render_json(value) -> str:
-    """Deterministic JSON: insertion-ordered keys, floats at 17 significant
-    digits, two-space indentation."""
-    return _render(value, "\n  ") + "\n"
-
-
-def _render(value, inner: str) -> str:
-    """``value`` as text; ``inner`` is a line break and the indentation of
-    the items inside it."""
-    if isinstance(value, dict):
-        return _render_dicts([value], inner)[0] if value else "{}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        keys, deeper = (list(value[0]) if isinstance(value[0], dict) else None), inner + "  "
-        same = keys and all(isinstance(v, dict) and list(v) == keys for v in value)
-        rows = _render_dicts(value, deeper) if same else [_render(v, deeper) for v in value]
-        return "[" + inner + ("," + inner).join(rows) + inner[:-2] + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def render_json(report: dict) -> str:
+    """``_report``'s dict as deterministic JSON: insertion-ordered keys,
+    floats at 17 significant digits, two-space indentation.  Each value is
+    one flat dict or a list of flat dicts with the same keys."""
+    fields = []
+    for key, value in report.items():
+        if isinstance(value, dict):
+            text = _render_dicts([value], "\n    ")[0]
+        elif value:
+            text = "[\n    " + ",\n    ".join(_render_dicts(value, "\n      ")) + "\n  ]"
+        else:
+            text = "[]"
+        fields.append(f"{_quote(key)}: {text}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def _render_dicts(rows, inner: str) -> list[str]:
-    """Nonempty dicts with the same keys in the same order, each as text,
-    from one template: a column of plain floats or ints is formatted there
-    (``%.17g`` is ``format(v, ".17g")``), any other is rendered first."""
-    deeper, specs, columns = inner + "  ", [], []
+    """Flat dicts with the same keys in the same order, each as text, from
+    one template; ``inner`` is a line break and the indentation of their
+    keys.  A column of numbers is formatted there, at ``%.17g`` (which is
+    ``format(v, ".17g")``) if it holds a float, else as ints; a column of
+    bools or strs is rendered first."""
+    specs, columns = [], []
     for key, column in zip(rows[0], zip(*[row.values() for row in rows])):
-        kind = type(column[0])
-        if kind in (float, int) and all(type(v) is kind for v in column):
-            spec = "%.17g" if kind is float else "%d"
+        if isinstance(column[0], bool):
+            spec, column = "%s", ["true" if v else "false" for v in column]
+        elif isinstance(column[0], str):
+            spec, column = "%s", [_quote(v) for v in column]
         else:
-            spec, column = "%s", [_render(v, deeper) for v in column]
-        specs.append(_quote(str(key)).replace("%", "%%") + ": " + spec)
+            spec = "%.17g" if any(isinstance(v, float) for v in column) else "%d"
+        specs.append(_quote(key) + ": " + spec)
         columns.append(column)
     template = "{" + inner + ("," + inner).join(specs) + inner[:-2] + "}"
     return [template % values for values in zip(*columns)]
@@ -234,7 +222,7 @@ def recovery_plan(config: argparse.Namespace, code: codes_mod.CodeSpec) -> codes
 
 def cmd_recover(config: argparse.Namespace) -> tuple[int, dict]:
     code = build_code(config)
-    if not 0 <= config.pos < code.n_physical:
+    if config.pos >= code.n_physical:
         raise ConfigError(f"position {config.pos} out of range for {code.n_physical} sites")
     try:
         config.channel.check_size(code.n_physical)
@@ -314,9 +302,9 @@ def _default_seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        return _count(raw)
     except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise ConfigError(f"{SEED_ENV_VAR}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         (group or p).add_argument("--code", default="six", help="six | w5 | hiding:n")
         if group is not None:
             group.add_argument("--code-file", default=None, help="JSON code description")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_count, default=None,
                        help=f"RNG seed (default {DEFAULT_SEED}, or ${SEED_ENV_VAR})")
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
@@ -352,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_recover = sub.add_parser("recover", help="seeded damage/repair trials at one position")
     add_common(p_recover)
     # the only command that samples; verify is exact, share-demo shares one secret
-    p_recover.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p_recover.add_argument("--pos", type=int, required=True, help="damaged site index")
+    p_recover.add_argument("--trials", type=_count, default=DEFAULT_TRIALS)
+    p_recover.add_argument("--pos", type=_count, required=True, help="damaged site index")
     p_recover.add_argument("--channel", default="random:4",
                            help="pauli:K | random:env_dim | leak:d,env_dim[,weight]")
 
@@ -364,13 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """The one place a run's inputs are checked: resolve and check the seed,
-    check the trial count and the tolerance, and parse --channel, all in
-    place on ``args``, which every command then reads."""
+    """The one place a run's inputs are checked: resolve the seed, check the
+    trial count and the tolerance, and parse --channel, all in place on
+    ``args``, which every command then reads.  Every count, the seed
+    included, is spelled as ``_count`` allows when it is parsed."""
     if args.seed is None:
         args.seed = _default_seed()
-    if args.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     if args.trials is not None and not 1 <= args.trials <= verify.TRIALS_CAP:
         raise ConfigError(f"trial count {args.trials} outside 1..{verify.TRIALS_CAP}")
     if not 0 < args.tolerance < 1:

@@ -4,7 +4,7 @@ Three families of checks live here:
 
 * exact per-site certificates, all contractions of one sector-overlap
   tensor (``sector_overlaps``) gathered from the code's compact rows: the
-  pairwise error-correction conditions for a general operator set, the
+  pairwise error-correction conditions for the Paulis at one site, the
   single-operator form for an erasure at a known position, and maximally
   mixed single-site marginals (``certify`` gives all three at every site,
   for sparse codes from every site's stored entries, ``overlap_entries``),
@@ -86,42 +86,22 @@ class TrialResult:
 
 
 class ErrorOperatorSet:
-    """Single-qubit error operators at one known position.
+    """The four Paulis, ``PAULIS``, at one known position.  They span the
+    one-qubit operator algebra, so passing the pairwise conditions on them
+    certifies arbitrary errors at that site."""
 
-    The set must contain the identity and span the full one-qubit operator
-    algebra (the Pauli directions), so that passing the pairwise conditions
-    on it certifies arbitrary errors at that site.
-    """
+    __slots__ = ("position",)
+    operators = PAULIS
 
-    __slots__ = ("position", "operators")
-
-    def __init__(self, position: int, operators):
+    def __init__(self, position: int):
         position = int(position)
         if position < 0:
             raise ValueError("position must be nonnegative")
-        operators = tuple(np.array(a, dtype=np.complex128) for a in operators)
-        if not operators:
-            raise ValueError("operator set must be nonempty")
-        if any(a.shape != (2, 2) for a in operators):
-            raise ValueError("logical bases live on qubit sites; operators must be 2x2")
-        if not all(np.isfinite(a).all() for a in operators):
-            raise ValueError("error operators must have finite entries")
-        if not any(np.max(np.abs(a - np.eye(2))) <= 1e-12 for a in operators):
-            raise ValueError("operator set must include the identity")
-        stacked = np.stack([a.reshape(-1) for a in operators], axis=1)
-        for target in PAULI_BY_KIND.values():
-            vec = target.reshape(-1)
-            coeff, *_ = np.linalg.lstsq(stacked, vec, rcond=None)
-            if not np.linalg.norm(stacked @ coeff - vec) <= 1e-10:
-                raise ValueError("operator set does not span the one-site algebra")
-        for a in operators:
-            a.setflags(write=False)
         self.position = position
-        self.operators = operators
 
     @classmethod
     def pauli_set(cls, position: int) -> "ErrorOperatorSet":
-        return cls(position, PAULIS)
+        return cls(position)
 
 
 def _sectors(code: CodeSpec, position: int, columns: np.ndarray) -> np.ndarray:
@@ -165,38 +145,35 @@ def _blocks(overlaps: list[np.ndarray]):
     return blocks, diag, np.arange(n_sites) * n_logical**2
 
 
-def _score_blocks(blocks, diag, sites, ops=PAULIS, g=None):
+def _score_blocks(blocks, diag, sites, g=None):
     """Per-site deviations of overlap blocks B = O[i, :, j, :]: column c of
     ``blocks`` holds B[a, b] at row 2a + b, ``diag[c]`` marks i == j, and a
     site's blocks, all L diagonal ones among them, start at its ``sites`` column.
 
-    Returns, per site, the KL deviation for ``ops``, the larger of max
+    Returns, per site, the KL deviation for the Paulis M, the larger of max
     |<i|M|j>| over i != j and the spread of <i|M|i> = sum_ab M[a, b] B[a, b]
     over i, and max |B - delta_ij g| (g = I/2 by default).  The spread, the
     hypot of the real and imaginary ranges, bounds max |<i|M|i> - <j|M|j>|
     above and equals it when each <i|M|i> is real.  NaN gives NaN rows."""
     g = (PAULIS[0] / 2 if g is None else g).reshape(4, 1)
-    m = ops.reshape(len(ops), 4) @ blocks
+    m = PAULIS.reshape(4, 4) @ blocks
     off = np.where(diag, 0, np.abs(m).max(axis=0))
     dev = np.abs(blocks).max(axis=0)
     dev[diag] = np.abs(blocks[:, diag] - g).max(axis=0)
     worst = np.maximum.reduceat(np.stack([off, dev]), sites, axis=1)
-    d = m[:, diag].reshape(len(ops), len(sites), -1)
+    d = m[:, diag].reshape(4, len(sites), -1)
     spread = np.hypot(np.ptp(d.real, axis=2), np.ptp(d.imag, axis=2)).max(axis=0)
     return np.maximum(worst[0], spread), worst[1]
-
-
-def _pair_products(operators) -> np.ndarray:
-    return np.stack([a.conj().T @ b for a in operators for b in operators])
 
 
 def check_kl_general(code: CodeSpec, errors: ErrorOperatorSet,
                      tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Pairwise conditions: <i|A_a^dag A_b|j> must be delta_ij times a
-    constant that does not depend on the logical index, for every pair."""
+    constant that does not depend on the logical index, for every pair of
+    Paulis.  Each product is a unit phase times a Pauli, so the one Pauli
+    contraction scores them all, as in ``certify``."""
     p = errors.position
-    (kl,), _ = _score_blocks(*_blocks([sector_overlaps(code, p)]),
-                             _pair_products(errors.operators))
+    (kl,), _ = _score_blocks(*_blocks([sector_overlaps(code, p)]))
     return VerificationReport((CheckResult.within(f"kl_general_pos{p}", kl, tolerance),))
 
 

@@ -1,6 +1,5 @@
 """CLI behavior: exit codes, JSON shape, determinism, config validation."""
 
-import collections
 import json
 import os
 import subprocess
@@ -722,14 +721,14 @@ class TestDeterminismAndOutput:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == "error: seed must be non-negative, got " + argv[-1] + "\n"
+        assert err == f"error: argument --seed: invalid _count value: {argv[-1]!r}\n"
 
     def test_negative_seed_from_the_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "-4")
         code, out, err = run(capsys, "recover", "--pos", "1")
         assert code == 2
         assert out == ""
-        assert err == "error: seed must be non-negative, got -4\n"
+        assert err == "error: ERASURELAB_SEED: '-4' is not a count in plain decimal digits\n"
 
     def test_bad_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "many")
@@ -805,6 +804,46 @@ class TestConfigValidation:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert names in err
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--trials", ("recover", "--code", "six", "--pos", "0", "--trials", "1_0")),
+        ("--trials", ("recover", "--pos", "0", "--trials", "+3")),
+        ("--trials", ("recover", "--pos", "0", "--trials", " 3")),
+        ("--pos", ("recover", "--code", "six", "--pos", "\u0663")),
+        ("--pos", ("recover", "--pos", "-1")),
+        ("--pos", ("recover", "--pos", "03")),
+        ("--seed", ("verify", "--code", "six", "--seed", "0042")),
+        ("--seed", ("verify", "--code", "six", "--seed", "+7")),
+        ("--seed", ("share-demo", "--seed", "4_2")),
+        ("--seed", ("recover", "--pos", "0", "--seed", "\u0664")),
+    ])
+    def test_a_count_flag_has_one_spelling(self, capsys, flag, argv):
+        # int() takes each of these; the CLI takes none of them
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: argument {flag}: invalid _count value: {argv[-1]!r}\n"
+
+    @pytest.mark.parametrize("raw", [" 1_0 ", "0042", "+7", "\u0663", "7 ", ""])
+    def test_the_seed_env_var_has_one_spelling(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, raw)
+        code, out, err = run(capsys, "verify", "--code", "w5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ERASURELAB_SEED: {raw!r} is not a count in plain decimal digits\n"
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (("recover", "--pos", "0", "--trials", "10"), "trials", 10),
+        (("recover", "--pos", "0", "--seed", "0"), "seed", 0),
+        (("verify", "--seed", "18446744073709551616"), "seed", 2**64),
+    ])
+    def test_the_plain_count_spellings_still_parse(self, capsys, argv, key, value):
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0
+        if key == "seed":
+            assert report["meta"]["seed"] == value
+        else:
+            assert len(report["trials"]) == value
 
     def test_help_still_prints_the_usage(self, capsys):
         code, out, err = run(capsys, "recover", "--help")
@@ -883,53 +922,60 @@ class TestJsonRendering:
         for report in reports:
             assert render_json(report) == reference_render(report) + "\n"
 
-    @pytest.mark.parametrize("value", [
-        {}, [], (), {"a": {}, "b": [], "c": [[], {}]},
-        [True, False, 1, 0, np.int64(-3), np.uint8(7)],
-        {"\u00e9t\u00e9 \u2192 \U0001d400": "\u00fcber \"quoted\"\n", 5: None, True: 1.5},
-        [float("nan"), float("inf"), -0.0, 1e-320, np.float64(0.1)],
-        ({"deep": [{"x": [1, [2, [3, {}]]]}]},),
-        # rows with one key order: each column formatted in the template or rendered first
-        [{"i": 0, "f": 1.0, "p": 0.5}, {"i": 1, "f": 1 - 2**-53, "p": 1e-300}],
-        [{"i": 0, "f": 1.0}, {"i": True, "f": np.float64(0.25)}, {"i": np.int64(2), "f": 2}],
-        [{"f": float("nan")}, {"f": float("-inf")}, {"f": -0.0}, {"f": 5e-324}],
-        [{"%s %d %%": 1.5, "b": "100%"}, {"%s %d %%": -2, "b": None}],
-        [{"a": {"x": 1}, "b": [1.5, {"c": []}]}, {"a": {"x": 2.5, "y": {}}, "b": []}],
-        [{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{}, {}],
-        [{"a": 1}, [1], {"a": 2}], [collections.OrderedDict(a=1.5), {"a": 2**70}],
-    ])
-    def test_edge_values_match_the_reference(self, value):
-        assert render_json(value) == reference_render(value) + "\n"
-
-    def test_unknown_types_are_refused_as_before(self):
-        for value in (object(), np.float32(1), np.bool_(True), {"x": [set()]}):
-            with pytest.raises(TypeError):
-                reference_render(value)
-            with pytest.raises(TypeError):
-                render_json(value)
+    @pytest.mark.parametrize("deviations", [
+        [float("nan")], [float("inf")], [-0.0], [5e-324], [1 - 2**-53],
+        [float("nan"), float("inf"), -0.0, 5e-324, 1 - 2**-53, 0.1 + 0.2],
+    ], ids=["nan", "inf", "negative-zero", "subnormal", "below-one", "all"])
+    @pytest.mark.parametrize("trials", [0, 1, 3])
+    def test_report_edge_values_match_the_reference(self, deviations, trials):
+        report = rendered_report(deviations, trials=trials)
+        assert render_json(report) == reference_render(report) + "\n"
 
     def test_stable_shape_and_trailing_newline(self):
-        text = render_json({"a": [1, 2], "b": True, "c": None, "d": "x"})
+        report = rendered_report([0.0, 1.5], trials=1)
+        text = render_json(report)
         assert text.endswith("}\n")
-        assert json.loads(text) == {"a": [1, 2], "b": True, "c": None, "d": "x"}
-        assert '"b": true' in text
+        assert json.loads(text) == report
+        assert '"pass": true' in text and '"pass": false' in text
 
     def test_floats_roundtrip_at_full_precision(self):
         values = [1.0, 1 - 1e-15, 1 / 3, 2.220446049250313e-16, 0.1 + 0.2]
-        text = render_json(values)
-        assert json.loads(text) == values
+        report = rendered_report(values, trials=len(values))
+        for row, value in zip(report["trials"], values):
+            row["fidelity"] = value
+        assert json.loads(render_json(report)) == report
 
-    def test_empty_containers(self):
-        assert render_json({}) == "{}\n"
-        assert render_json([]) == "[]\n"
-
-    def test_rejects_unknown_types(self):
-        with pytest.raises(TypeError):
-            render_json({"x": object()})
+    def test_an_empty_trial_list(self):
+        text = render_json(rendered_report([0.0]))
+        assert text.endswith('  "trials": []\n}\n')
 
     def test_ints_are_not_rendered_as_floats(self):
-        assert render_json([3]) == "[\n  3\n]\n"
-        assert render_json([np.int64(3)]) == "[\n  3\n]\n"
+        report = rendered_report([0.0], trials=11, seed=2**64)
+        text = render_json(report)
+        assert f'"seed": {2**64},' in text
+        assert '"index": 0,' in text and '"index": 10,' in text
+        assert text == reference_render(report) + "\n"
+
+    def test_a_code_file_path_is_quoted_as_json(self, capsys, tmp_path):
+        path = tmp_path / 'w5 100% "quoted" \\ \u00e9t\u00e9.json'
+        path.write_text(json.dumps(code_to_json_dict(w_code())), encoding="utf-8")
+        code, out, _ = run(capsys, "verify", "--code-file", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["meta"]["code"] == f"file:{path}"
+        assert out == reference_render(report) + "\n"
+
+
+def rendered_report(deviations, trials=0, seed=42):
+    """A report of ``_report``'s shape: one check row per deviation, and
+    ``trials`` trial rows, each with an int index."""
+    return {
+        "meta": {"seed": seed, "code": "six", "command": "recover", "tolerance": 1e-10},
+        "checks": [{"name": f"row{i}", "pass": i % 2 == 0, "worst_deviation": d}
+                   for i, d in enumerate(deviations)],
+        "trials": [{"index": i, "fidelity": 1 - i * 2**-53, "purity": 1.0}
+                   for i in range(trials)],
+    }
 
 
 class TestChannelParsing:
